@@ -19,14 +19,12 @@ from typing import Optional, Sequence
 from .core import (
     BlackBoxGroup,
     GroupElement,
+    QueryStats,
     enumerate_closure,
-    enum_bound,
     make_group,
     make_hiding_oracle,
 )
 from .errors import BadSpec, HspError, InvalidEncoding, UnsupportedInstance
-from .linalg import BlackBoxView
-from .membership import membership_view
 from .normalsub import hidden_normal_subgroup, normal_closure
 from .sim import SolverConfig, splitmix64
 from .solvers import (
@@ -52,7 +50,6 @@ class RunConfig:
     epsilon: float = 2.0**-10
     seed: int = 0
     verify: bool = False
-    report_path: Optional[str] = None
 
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
@@ -81,7 +78,7 @@ def parse_hidden(G: BlackBoxGroup, text: str, base_dir: Path) -> list[GroupEleme
 
 def _is_abelian(G: BlackBoxGroup) -> bool:
     return all(
-        G.equal(G.multiply(a, b), G.multiply(b, a))
+        G.commute(a, b)
         for i, a in enumerate(G.generators)
         for b in G.generators[i + 1 :]
     )
@@ -111,8 +108,6 @@ def _dispatch(G: BlackBoxGroup, f, solver: str, cfg: SolverConfig) -> SubgroupRe
     if solver == "commutator":
         return solve_small_commutator(G, f, cfg)
     if solver == "normal":
-        from .core import QueryStats
-
         start = f.query_count
         ops = G.stats.group_ops
         n = hidden_normal_subgroup(G, f, cfg)
@@ -149,7 +144,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         G = make_group(spec)
         h_gens = parse_hidden(G, config.hidden, Path(config.group_path).parent)
         f = make_hiding_oracle(G, h_gens, seed=splitmix64(config.seed))
-    except (BadSpec, InvalidEncoding, OSError) as exc:
+    except (BadSpec, InvalidEncoding, OSError, UnicodeDecodeError) as exc:
         report["error"] = f"spec error: {exc}"
         report["wall_time_s"] = time.monotonic() - started
         return 3, report
@@ -251,7 +246,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 epsilon=args.epsilon,
                 seed=args.seed,
                 verify=args.verify,
-                report_path=args.report,
             )
         except BadSpec as exc:
             print(f"error: {exc}", file=sys.stderr)

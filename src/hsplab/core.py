@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BadSpec, BoundExceeded, InvalidEncoding
 
 DEFAULT_ENUM_BOUND = 4096
+MAX_ENCODING_BITS = 1 << 16  # longest length:hex token accepted
 
 
 def enum_bound() -> int:
@@ -41,7 +42,13 @@ class GroupElement:
     @classmethod
     def from_hex(cls, text: str) -> "GroupElement":
         length, _, digits = text.partition(":")
-        return cls(format(int(digits, 16), "0" + length + "b"))
+        try:
+            width, value = int(length), int(digits, 16)
+        except ValueError:
+            raise InvalidEncoding(f"not a length:hex token: {text!r}") from None
+        if not 0 < width <= MAX_ENCODING_BITS or value < 0 or value.bit_length() > width:
+            raise InvalidEncoding(f"hex value does not fit its length: {text!r}")
+        return cls(format(value, f"0{width}b"))
 
     def __repr__(self):
         return f"GroupElement({self.bits})"
@@ -55,15 +62,25 @@ class QueryStats:
     group_ops: int = 0
     rng_draws: int = 0
 
-    def snapshot(self) -> "QueryStats":
-        return QueryStats(self.f_queries, self.group_ops, self.rng_draws)
 
-    def delta(self, earlier: "QueryStats") -> "QueryStats":
-        return QueryStats(
-            self.f_queries - earlier.f_queries,
-            self.group_ops - earlier.group_ops,
-            self.rng_draws - earlier.rng_draws,
-        )
+def _coset_keys(members: Sequence, multiply: Callable, key: Callable, label=None) -> Callable:
+    """The function x -> canonical key of the coset x*S: the least key over
+    its members, cached per element under key(x).  `label`, when given, maps
+    the least key to the value cached and returned."""
+    members = list(members)
+    cache: dict[str, str] = {}
+
+    def coset_key(x) -> str:
+        kx = key(x)
+        found = cache.get(kx)
+        if found is None:
+            found = min(key(multiply(x, s)) for s in members)
+            if label is not None:
+                found = label(found)
+            cache[kx] = found
+        return found
+
+    return coset_key
 
 
 def _chunk_width(n: int) -> int:
@@ -447,9 +464,9 @@ class QuotientBackend(Backend):
     def __init__(self, base: Backend, n_elements_bits: Sequence[str]):
         self.base = base
         self.n = base.n
-        self.n_elements = list(n_elements_bits)
         self.order_hint = base.order_hint
-        self._key_cache: dict[str, str] = {}
+        # backend products: uncounted, unlike the group-level coset keys
+        self._coset_key = _coset_keys(n_elements_bits, base.mul_bits, base.key_bits)
 
     def identity_bits(self) -> str:
         return self.base.identity_bits()
@@ -464,16 +481,65 @@ class QuotientBackend(Backend):
         return self.base.inv_bits(a)
 
     def key_bits(self, a: str) -> str:
-        cached = self._key_cache.get(a)
-        if cached is None:
-            cached = min(
-                self.base.key_bits(self.base.mul_bits(a, n)) for n in self.n_elements
-            )
-            self._key_cache[a] = cached
-        return cached
+        return self._coset_key(a)
 
 
-class BlackBoxGroup:
+class GroupView:
+    """The group interface: identity, multiply, invert and a canonical key
+    deciding equality.  A BlackBoxGroup is one; the quotient views of linalg
+    are others, whose key decides equality modulo a normal subgroup.  The
+    derived operations below are written once, against that interface.
+    """
+
+    order_hint: Optional[int] = None  # a known multiple of the group order
+
+    def identity(self):
+        raise NotImplementedError
+
+    def multiply(self, a, b):
+        raise NotImplementedError
+
+    def invert(self, a):
+        raise NotImplementedError
+
+    def key(self, a) -> str:
+        raise NotImplementedError
+
+    def hkey(self, a) -> str:
+        """Harness-privileged key (default: same as key)."""
+        return self.key(a)
+
+    def equal(self, g, h) -> bool:
+        return self.key(g) == self.key(h)
+
+    def is_identity(self, g) -> bool:
+        return self.key(g) == self.key(self.identity())
+
+    def commute(self, a, b) -> bool:
+        return self.key(self.multiply(a, b)) == self.key(self.multiply(b, a))
+
+    def power(self, g, k: int):
+        if k < 0:
+            g, k = self.invert(g), -k
+        result = self.identity()
+        base = g
+        while k:
+            if k & 1:
+                result = self.multiply(result, base)
+            if k >> 1:
+                base = self.multiply(base, base)
+            k >>= 1
+        return result
+
+    def commutator(self, a, b):
+        return self.multiply(self.multiply(a, b), self.invert(self.multiply(b, a)))
+
+    def conjugate(self, g, x):
+        """g * x * g^-1."""
+        return self.multiply(self.multiply(g, x), self.invert(g))
+
+
+class BlackBoxGroup(GroupView):
     """Oracle bundle: multiply, invert, identity, equality test, generators."""
 
     def __init__(self, backend: Backend, generator_bits: Sequence[str], meta: Optional[dict] = None):
@@ -481,11 +547,10 @@ class BlackBoxGroup:
         self.encoding_length = backend.n
         self.stats = QueryStats()
         self.meta = meta or {}
+        self._identity = GroupElement(backend.identity_bits())
         for bits in generator_bits:
             backend.validate(bits)
-        self.generators = [GroupElement(b) for b in generator_bits]
-        if not self.generators:
-            self.generators = [GroupElement(backend.identity_bits())]
+        self.generators = [GroupElement(b) for b in generator_bits] or [self._identity]
 
     @property
     def unique_encoding(self) -> bool:
@@ -496,7 +561,7 @@ class BlackBoxGroup:
         return self.backend.order_hint
 
     def identity(self) -> GroupElement:
-        return GroupElement(self.backend.identity_bits())
+        return self._identity
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         self.stats.group_ops += 1
@@ -508,35 +573,6 @@ class BlackBoxGroup:
 
     def key(self, g: GroupElement) -> str:
         return self.backend.key_bits(g.bits)
-
-    def equal(self, g: GroupElement, h: GroupElement) -> bool:
-        return self.key(g) == self.key(h)
-
-    def is_identity(self, g: GroupElement) -> bool:
-        return self.key(g) == self.backend.key_bits(self.backend.identity_bits())
-
-    def power(self, g: GroupElement, k: int) -> GroupElement:
-        if k < 0:
-            g, k = self.invert(g), -k
-        result = self.identity()
-        base = g
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            base_needed = k >> 1
-            if base_needed:
-                base = self.multiply(base, base)
-            k = base_needed
-        return result
-
-    def commutator(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.multiply(
-            self.multiply(a, b), self.invert(self.multiply(b, a))
-        )
-
-    def conjugate(self, g: GroupElement, x: GroupElement) -> GroupElement:
-        """g * x * g^-1."""
-        return self.multiply(self.multiply(g, x), self.invert(g))
 
 
 @dataclass
@@ -608,7 +644,8 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
             raise BadSpec(f"block must be {spec.k} rows of {spec.k} bits")
         backend = AffineGf2Backend(spec.k)
         block_gen, trans_gens = _affine_generators(backend, spec.block, spec.translations or [])
-        block_order = _matrix_order(backend, block_gen)
+        identity = backend.identity_bits()
+        block_order = _order_of(block_gen, backend.mul_bits, lambda b: b == identity, 1 << 20)
         meta = {
             "k": spec.k,
             "block_order": block_order,
@@ -679,14 +716,14 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
     raise BadSpec(f"unknown group kind {spec.kind!r}")
 
 
-def _matrix_order(backend: Backend, bits: str, cap: int = 1 << 20) -> int:
-    identity = backend.identity_bits()
-    cur = bits
+def _order_of(x, multiply: Callable, at_identity: Callable, cap: int) -> int:
+    """Order of x by repeated multiplication, at most cap steps."""
+    cur = x
     for i in range(1, cap + 1):
-        if cur == identity:
+        if at_identity(cur):
             return i
-        cur = backend.mul_bits(cur, bits)
-    raise BadSpec("generator order exceeds cap")
+        cur = multiply(cur, x)
+    raise BoundExceeded("element order exceeds cap")
 
 
 def quotient_view_group(G: BlackBoxGroup, n_elements: Sequence[GroupElement]) -> BlackBoxGroup:
@@ -704,21 +741,25 @@ def enumerate_closure(
     bound = bound or enum_bound()
     if bound < 1:
         raise BoundExceeded("bound must be at least 1")
-    identity = G.identity()
-    seen = {G.key(identity): identity}
+    return _closure(G, [s for s in seeds if not G.is_identity(s)], bound)
+
+
+def _closure(group: GroupView, gens: Sequence, bound: int) -> list:
+    """Distinct elements of <gens> under the group's key, BFS order, identity
+    first; every key call is made, so a view whose key is an f-query pays
+    one query per product."""
+    identity = group.identity()
+    seen = {group.key(identity): identity}
     frontier = [identity]
-    gens = [s for s in seeds if not G.is_identity(s)]
     while frontier:
         nxt = []
         for x in frontier:
             for s in gens:
-                y = G.multiply(x, s)
-                ky = G.key(y)
+                y = group.multiply(x, s)
+                ky = group.key(y)
                 if ky not in seen:
                     if len(seen) >= bound:
-                        raise BoundExceeded(
-                            f"closure exceeds bound {bound}"
-                        )
+                        raise BoundExceeded(f"closure exceeds bound {bound}")
                     seen[ky] = y
                     nxt.append(y)
         frontier = nxt
@@ -735,37 +776,23 @@ class HidingOracle:
 
     label_length = 128
 
-    def __init__(
-        self,
-        G: BlackBoxGroup,
-        h_elements: Sequence[GroupElement],
-        seed: int = 0,
-        obfuscate: bool = True,
-    ):
+    def __init__(self, G: BlackBoxGroup, h_elements: Sequence[GroupElement], seed: int = 0):
         self.group = G
         self.query_count = 0
         self.harness_queries = 0
-        self.hidden_subgroup_witness = list(h_elements)
-        self._obfuscate = obfuscate
-        self._seed_key = seed.to_bytes(16, "little", signed=False)
-        self._cache: dict[str, str] = {}
+        seed_key = seed.to_bytes(16, "little", signed=False)
+        digest_size = self.label_length // 8
+
+        def obfuscate(canonical: str) -> str:
+            return hashlib.blake2b(
+                canonical.encode(), key=seed_key, digest_size=digest_size
+            ).hexdigest()
+
+        self._coset_label = _coset_keys(h_elements, G.multiply, G.key, obfuscate)
 
     def _label(self, g: GroupElement) -> str:
-        G = self.group
-        G.backend.validate(g.bits)
-        gkey = G.key(g)
-        cached = self._cache.get(gkey)
-        if cached is not None:
-            return cached
-        canonical = min(G.key(G.multiply(g, h)) for h in self.hidden_subgroup_witness)
-        if self._obfuscate:
-            label = hashlib.blake2b(
-                canonical.encode(), key=self._seed_key, digest_size=self.label_length // 8
-            ).hexdigest()
-        else:
-            label = canonical
-        self._cache[gkey] = label
-        return label
+        self.group.backend.validate(g.bits)
+        return self._coset_label(g)
 
     def eval(self, g: GroupElement) -> str:
         self.query_count += 1
@@ -782,8 +809,7 @@ def make_hiding_oracle(
     h_gens: Sequence[GroupElement],
     seed: int = 0,
     bound: Optional[int] = None,
-    obfuscate: bool = True,
 ) -> HidingOracle:
     """Build a hiding oracle for <h_gens> by enumerating the subgroup."""
     h_elements = enumerate_closure(G, h_gens, bound)
-    return HidingOracle(G, h_elements, seed=seed, obfuscate=obfuscate)
+    return HidingOracle(G, h_elements, seed=seed)

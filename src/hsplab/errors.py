@@ -41,6 +41,10 @@ class NotCommuting(HspError):
     """Constructive membership requires pairwise commuting inputs."""
 
 
+class MemberUnverified(HspError):
+    """Every member answer of constructive membership failed verification."""
+
+
 class QuotientNotAbelian(HspError):
     """The quotient modulo the hidden subgroup is not Abelian."""
 

@@ -3,16 +3,30 @@
 Smith normal form with transform matrices, dual-group (character) arithmetic,
 and reconstruction of a subgroup from sampled orthogonal characters.  All
 arithmetic is arbitrary precision; no modular shortcuts.
+
+Also the quotient views of a black-box group G: G modulo a hidden normal
+subgroup (equality by f-labels) and G modulo an enumerated normal subgroup
+(equality by canonical coset keys).  They implement the same GroupView
+interface as BlackBoxGroup, so closure, power, order finding and the Abelian
+decomposition take a group or a quotient alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import BoundExceeded, NotAbelian
-from .core import BlackBoxGroup, GroupElement, enumerate_closure, enum_bound
+from .errors import NotAbelian
+from .core import (
+    BlackBoxGroup,
+    GroupElement,
+    GroupView,
+    _closure,
+    _coset_keys,
+    _order_of,
+    enum_bound,
+)
 
 Matrix = list[list[int]]
 
@@ -225,41 +239,31 @@ def lattice_solutions(B: Matrix, modulus: int) -> list[list[int]]:
     return basis
 
 
-def _congruence_kernel(rows: list[list[int]], structure: AbelianStructure) -> list[tuple[int, ...]]:
-    """Generators of {x in structure : pairing(row, x) = 0 for every row}."""
-    k = len(structure.moduli)
-    if k == 0:
-        return []
+def _pairing_kernel(
+    structure: AbelianStructure, rows: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """Generators of {x in structure : pairing(row, x) = 0 for every row}: the
+    kernel of x -> (pairing(row, x))_row into Z_M^len(rows), M the exponent."""
     M = structure.exponent
-    if not rows:
-        rows = [[0] * k]
-    B = [[r[j] * (M // structure.moduli[j]) for j in range(k)] for r in rows]
-    basis = lattice_solutions(B, M)
-    reduced = [structure.reduce(v) for v in basis]
-    # include the trivial relations so reduction mod moduli is complete
-    out = row_basis(reduced)
-    gens = []
-    for v in out:
-        t = structure.reduce(v)
-        if any(t):
-            gens.append(t)
-    return gens
+    images = [
+        [r[j] * (M // m) for r in rows] for j, m in enumerate(structure.moduli)
+    ]
+    return hom_kernel(structure.moduli, images, AbelianStructure((M,) * len(rows)))
 
 
 def dual_subgroup(
     structure: AbelianStructure, h_gens: Sequence[Sequence[int]]
 ) -> list[CharacterVector]:
     """Generators of H-perp, the characters trivial on <h_gens>."""
-    rows = [list(structure.reduce(h)) for h in h_gens]
-    return [CharacterVector(t) for t in _congruence_kernel(rows, structure)]
+    rows = [structure.reduce(h) for h in h_gens]
+    return [CharacterVector(t) for t in _pairing_kernel(structure, rows)]
 
 
 def solve_character_kernel(
     structure: AbelianStructure, samples: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
     """Generators of the joint kernel of the sampled characters."""
-    rows = [list(structure.reduce(tuple(c))) for c in samples]
-    return _congruence_kernel(rows, structure)
+    return _pairing_kernel(structure, [structure.reduce(c) for c in samples])
 
 
 def subgroup_order(structure: AbelianStructure, gens: Sequence[Sequence[int]]) -> int:
@@ -329,81 +333,28 @@ def hom_kernel(
     return out
 
 
-class GroupView:
-    """Minimal multiplicative view: identity, mul, inv, and a canonical key.
+class QuotientView(GroupView):
+    """The elements and products of `group`, with an equality of its own."""
 
-    Used to run Abelian structure computations uniformly over black-box
-    groups, hidden-subgroup label quotients, and generated-subgroup coset
-    quotients.
-    """
-
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def key(self, a) -> str:
-        raise NotImplementedError
-
-    def hkey(self, a) -> str:
-        """Harness-privileged key (default: same as key)."""
-        return self.key(a)
-
-    def pow(self, g, k: int):
-        if k < 0:
-            g, k = self.inv(g), -k
-        result = self.identity()
-        base = g
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            if k >> 1:
-                base = self.mul(base, base)
-            k >>= 1
-        return result
-
-    def commute(self, a, b) -> bool:
-        return self.key(self.mul(a, b)) == self.key(self.mul(b, a))
-
-
-class BlackBoxView(GroupView):
-    """The group itself, equality by its canonical key."""
-
-    def __init__(self, G: BlackBoxGroup):
-        self.group = G
+    def __init__(self, group: GroupView):
+        self.group = group
 
     def identity(self):
         return self.group.identity()
 
-    def mul(self, a, b):
+    def multiply(self, a, b):
         return self.group.multiply(a, b)
 
-    def inv(self, a):
+    def invert(self, a):
         return self.group.invert(a)
 
-    def key(self, a) -> str:
-        return self.group.key(a)
 
-
-class LabelQuotientView(GroupView):
+class LabelQuotientView(QuotientView):
     """G modulo a hidden normal subgroup: equality via f-labels."""
 
     def __init__(self, G: BlackBoxGroup, f):
-        self.group = G
+        super().__init__(G)
         self.oracle = f
-
-    def identity(self):
-        return self.group.identity()
-
-    def mul(self, a, b):
-        return self.group.multiply(a, b)
-
-    def inv(self, a):
-        return self.group.invert(a)
 
     def key(self, a) -> str:
         return self.oracle.eval(a)
@@ -412,54 +363,23 @@ class LabelQuotientView(GroupView):
         return self.oracle.peek(a)
 
 
-class CosetQuotientView(GroupView):
+class CosetQuotientView(QuotientView):
     """G modulo a normal subgroup given by its enumerated elements."""
 
     def __init__(self, G: BlackBoxGroup, n_elements: Sequence[GroupElement]):
-        self.group = G
-        self.n_elements = list(n_elements)
-        self._cache: dict[str, str] = {}
-
-    def identity(self):
-        return self.group.identity()
-
-    def mul(self, a, b):
-        return self.group.multiply(a, b)
-
-    def inv(self, a):
-        return self.group.invert(a)
+        super().__init__(G)
+        self._coset_key = _coset_keys(n_elements, G.multiply, G.key)
 
     def key(self, a) -> str:
-        gkey = self.group.key(a)
-        cached = self._cache.get(gkey)
-        if cached is None:
-            cached = min(
-                self.group.key(self.group.multiply(a, n)) for n in self.n_elements
-            )
-            self._cache[gkey] = cached
-        return cached
+        return self._coset_key(a)
 
 
 def view_closure(view: GroupView, seeds, bound: Optional[int] = None):
-    """Distinct elements of <seeds> under the view's equality, BFS order."""
-    bound = bound or enum_bound()
-    identity = view.identity()
-    seen = {view.key(identity): identity}
-    frontier = [identity]
-    gens = list(seeds)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = view.mul(x, s)
-                ky = view.key(y)
-                if ky not in seen:
-                    if len(seen) >= bound:
-                        raise BoundExceeded(f"closure exceeds bound {bound}")
-                    seen[ky] = y
-                    nxt.append(y)
-        frontier = nxt
-    return list(seen.values())
+    """Distinct elements of <seeds> under the view's equality, BFS order.
+
+    Unlike enumerate_closure it does not drop identity seeds first: on a
+    LabelQuotientView that test would cost f-queries."""
+    return _closure(view, list(seeds), enum_bound() if bound is None else bound)
 
 
 class AbelianDecomposition:
@@ -485,29 +405,17 @@ class AbelianDecomposition:
         return self._element_by_key[self._from_tuple[t]]
 
 
-def _order_in(view: GroupView, x, key_of_identity: str, cap: int) -> int:
-    cur = x
-    for i in range(1, cap + 1):
-        if view.key(cur) == key_of_identity:
-            return i
-        cur = view.mul(cur, x)
-    raise BoundExceeded("element order exceeds cap")
-
-
 def decompose_abelian(
-    source,
-    gens: Optional[Sequence] = None,
+    view: GroupView,
+    gens: Sequence,
     bound: Optional[int] = None,
 ) -> AbelianDecomposition:
     """Decompose the Abelian group generated by `gens` (classical stand-in for
     the quantum decomposition of Abelian black-box groups; quantum-replaceable).
 
-    `source` is a BlackBoxGroup or a GroupView.  Raises NotAbelian if the
+    `view` is a BlackBoxGroup or a quotient view.  Raises NotAbelian if the
     generators do not commute, BoundExceeded past the enumeration bound.
     """
-    view = BlackBoxView(source) if isinstance(source, BlackBoxGroup) else source
-    if gens is None:
-        gens = source.generators if isinstance(source, BlackBoxGroup) else []
     gens = list(gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -516,6 +424,9 @@ def decompose_abelian(
     elements = view_closure(view, gens, bound)
     order = len(elements)
     id_key = view.key(view.identity())
+
+    def at_identity(y) -> bool:
+        return view.key(y) == id_key
 
     # Invariant-factor basis: repeatedly pick a coset of maximal order in
     # G/<chosen> and fix the lift so its order in G matches the coset order.
@@ -532,14 +443,14 @@ def decompose_abelian(
             cur = x
             t = 1
             while view.key(cur) not in k_keys:
-                cur = view.mul(cur, x)
+                cur = view.multiply(cur, x)
                 t += 1
             if t > best_t:
                 best, best_t = x, t
         lift = None
         for h in k_elements:
-            cand = view.mul(best, h)
-            if _order_in(view, cand, id_key, order) == best_t:
+            cand = view.multiply(best, h)
+            if _order_of(cand, view.multiply, at_identity, order) == best_t:
                 lift = cand
                 break
         assert lift is not None, "maximal-order lift must exist in an Abelian group"
@@ -556,7 +467,7 @@ def decompose_abelian(
     for b, m in zip(chosen, invariant_orders):
         for p, a in sorted(factorint(m).items()):
             q = p**a
-            basis.append(view.pow(b, m // q))
+            basis.append(view.power(b, m // q))
             moduli.append(q)
     structure = AbelianStructure(tuple(moduli))
 
@@ -576,7 +487,7 @@ def decompose_abelian(
             for i, u in enumerate(units):
                 t2 = structure.add(t, u)
                 if t2 not in reps:
-                    y = view.mul(x, basis[i])
+                    y = view.multiply(x, basis[i])
                     reps[t2] = y
                     to_tuple[view.key(y)] = t2
                     nxt.append(t2)

@@ -15,17 +15,15 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import BlackBoxGroup, GroupElement, enumerate_closure, HidingOracle
-from .errors import ExpressFailure, NotCommuting
+from .core import BlackBoxGroup, GroupElement, GroupView, enumerate_closure, HidingOracle
+from .errors import MemberUnverified, NotCommuting
 from .linalg import (
     AbelianStructure,
-    BlackBoxView,
     CosetQuotientView,
-    GroupView,
     LabelQuotientView,
+    QuotientView,
     decompose_abelian,
     hom_kernel,
-    view_closure,
 )
 from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
 
@@ -96,22 +94,22 @@ def _phi_oracle(
     s: int,
 ) -> QuantumFunctionOracle:
     structure = AbelianStructure(tuple(orders) + (s,))
-    g_inv = view.inv(g)
+    g_inv = view.invert(g)
     power_tables = []
     for h, sh in zip(h_list, orders):
         table = [view.identity()]
         for _ in range(sh - 1):
-            table.append(view.mul(table[-1], h))
+            table.append(view.multiply(table[-1], h))
         power_tables.append(table)
     g_table = [view.identity()]
     for _ in range(s - 1):
-        g_table.append(view.mul(g_table[-1], g_inv))
+        g_table.append(view.multiply(g_table[-1], g_inv))
 
     def elem(t):
         x = view.identity()
         for table, a in zip(power_tables, t[:-1]):
-            x = view.mul(x, table[a])
-        return view.mul(x, g_table[t[-1]])
+            x = view.multiply(x, table[a])
+        return view.multiply(x, g_table[t[-1]])
 
     def eval_fn(t):
         return view.key(elem(t))
@@ -130,23 +128,11 @@ def _phi_oracle(
     return QuantumFunctionOracle(structure, eval_fn, peek_fn, provider)
 
 
-class _HarnessView(GroupView):
+class _HarnessView(QuotientView):
     """Wrap a view so its equality goes through the harness-privileged key."""
 
-    def __init__(self, inner: GroupView):
-        self.inner = inner
-
-    def identity(self):
-        return self.inner.identity()
-
-    def mul(self, a, b):
-        return self.inner.mul(a, b)
-
-    def inv(self, a):
-        return self.inner.inv(a)
-
     def key(self, a) -> str:
-        return self.inner.hkey(a)
+        return self.group.hkey(a)
 
 
 def membership_view(
@@ -157,7 +143,7 @@ def membership_view(
     n_elements: Optional[Sequence[GroupElement]] = None,
 ) -> GroupView:
     if mode == "unique":
-        return BlackBoxView(G)
+        return G
     if mode == "mod-hidden":
         assert f is not None
         return LabelQuotientView(G, f)
@@ -182,7 +168,8 @@ def constructive_membership(
     """Either express g as a product of powers of the h_i or report NotMember.
 
     Member answers are verified by multiplication at the mode's equality;
-    order-finding failures are absorbed by re-running with fresh seeds.
+    order-finding failures are absorbed by re-running with fresh seeds, and
+    MemberUnverified is raised when every attempt fails verification.
     """
     view = membership_view(G, mode, f, n_gens, n_elements)
     for i, a in enumerate(h_list):
@@ -192,21 +179,18 @@ def constructive_membership(
         if not view.commute(a, g):
             raise NotCommuting("g must commute with every generator")
     attempts = 3
-    last = NOT_MEMBER
     for _ in range(attempts):
         sub = cfg.child("membership")
         answer = _attempt(G, view, h_list, g, sub, mode)
-        if answer.member:
-            # verify by multiplication at the view's equality
-            x = view.identity()
-            for h, a in zip(h_list, answer.exponents.values):
-                x = view.mul(x, view.pow(h, a))
-            if view.key(x) == view.key(g):
-                return answer
-            last = answer
-            continue
-        return answer
-    return last
+        if not answer.member:
+            return answer
+        # verify by multiplication at the view's equality
+        x = view.identity()
+        for h, a in zip(h_list, answer.exponents.values):
+            x = view.multiply(x, view.power(h, a))
+        if view.key(x) == view.key(g):
+            return answer
+    raise MemberUnverified(f"no member answer passed verification in {attempts} attempts")
 
 
 def _attempt(

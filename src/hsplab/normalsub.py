@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
-from .errors import BoundExceeded, ExpressFailure, QuotientNotAbelian
+from .errors import ExpressFailure, QuotientNotAbelian
 from .linalg import LabelQuotientView, decompose_abelian
 from .membership import constructive_membership
-from .sim import RngStream, SolverConfig
+from .sim import SolverConfig
 
 
 @dataclass
@@ -87,38 +87,17 @@ def normal_closure(
     G: BlackBoxGroup,
     seeds: Sequence[GroupElement],
     bound: Optional[int] = None,
-    randomized: bool = False,
-    rng: Optional[RngStream] = None,
 ) -> NormalGenerators:
     """Smallest normal subgroup of G containing the seeds.
 
     Deterministic worklist: close the generating set under conjugation by the
-    group generators, interleaved with subgroup closure.  The randomized
-    subproducts variant is an optional fast path; its result is certified by
-    a final deterministic sweep, so the two always agree.
+    group generators, interleaved with subgroup closure.  The closure of the
+    final generating set is returned as the certificate.
     """
     bound = bound or enum_bound()
     gens = [s for s in seeds if not G.is_identity(s)]
     closure = enumerate_closure(G, gens, bound)
     keys = {G.key(x) for x in closure}
-
-    if randomized and gens:
-        rng = rng or RngStream(0)
-        for _ in range(4 * max(1, bound.bit_length())):
-            sub = G.identity()
-            for s in gens:
-                if rng.randrange(2):
-                    sub = G.multiply(sub, s)
-            word = G.identity()
-            for g in G.generators:
-                if rng.randrange(2):
-                    word = G.multiply(word, g)
-            cand = G.conjugate(word, sub)
-            if G.key(cand) not in keys:
-                gens.append(cand)
-                closure = enumerate_closure(G, gens, bound)
-                keys = {G.key(x) for x in closure}
-
     work = list(gens)
     while work:
         x = work.pop()

@@ -14,13 +14,13 @@ Two sampler backends produce uniform draws from H-perp:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from math import ceil, gcd, log2, prod
+from dataclasses import dataclass
+from math import ceil, gcd, log2
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BlackBoxGroup, GroupElement, QueryStats
+from .core import BlackBoxGroup, GroupElement, GroupView, _coset_keys
 from .errors import (
     HspError,
     NoOrderBound,
@@ -30,9 +30,7 @@ from .errors import (
 )
 from .linalg import (
     AbelianStructure,
-    BlackBoxView,
     CharacterVector,
-    GroupView,
     dual_subgroup,
     solve_character_kernel,
     subgroup_elements,
@@ -41,6 +39,7 @@ from .linalg import (
 )
 
 STATEVECTOR_CAP = 1 << 16
+MAX_ROUNDS = 100_000  # sampling rounds before abelian_hsp gives up
 
 
 def splitmix64(x: int) -> int:
@@ -74,10 +73,9 @@ class RngStream:
 
 @dataclass
 class SolverConfig:
-    """Per-solve configuration: failure budget, round cap, and seed."""
+    """Per-solve configuration: failure budget, seed, and sampler kind."""
 
     epsilon: float = 2.0**-10
-    max_rounds: int = 100_000
     seed: int = 0
     backend: str = "ideal"  # sampler kind: ideal | statevector
 
@@ -104,26 +102,7 @@ class SolverConfig:
         mix = splitmix64(self.seed ^ splitmix64(self._child_counter))
         for ch in tag:
             mix = splitmix64(mix ^ ord(ch))
-        cfg = SolverConfig(self.epsilon, self.max_rounds, mix, self.backend)
-        return cfg
-
-    def rng_draws(self) -> int:
-        total = self._rng.draws if self._rng else 0
-        return total
-
-
-class Superposition:
-    """Sparse state over basis labels (tuple, oracle label) -> amplitude."""
-
-    def __init__(self, amplitudes: dict):
-        self.amplitudes = dict(amplitudes)
-
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def check_normalized(self, tol: float = 1e-9) -> None:
-        if abs(self.norm_squared() - 1.0) > tol:
-            raise HspError(f"state norm {self.norm_squared()} out of tolerance")
+        return SolverConfig(self.epsilon, mix, self.backend)
 
 
 class QuantumFunctionOracle:
@@ -224,10 +203,6 @@ def _statevector_sample(
     classes: dict[str, list[tuple]] = {}
     for t in elements:
         classes.setdefault(f.eval(t), []).append(t)
-    state = Superposition(
-        {(t, label): 1.0 / np.sqrt(order) for label, ts in classes.items() for t in ts}
-    )
-    state.check_normalized()
     # Step 4: exact QFT over each cyclic factor, done per label class since
     # the label register is untouched by the transform.
     shape = tuple(A.moduli)
@@ -280,8 +255,8 @@ def abelian_hsp(
     rounds = 0
     while stable < cfg.stable_rounds:
         rounds += 1
-        if rounds > cfg.max_rounds:
-            raise RoundBudgetExceeded(f"no convergence in {cfg.max_rounds} rounds")
+        if rounds > MAX_ROUNDS:
+            raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
         c = sample_character(structure, f, cfg.backend, rng)
         samples.append(tuple(c.coeffs))
         current = (
@@ -317,7 +292,7 @@ def order_from_multiple(view: GroupView, g, m: int) -> int:
     id_key = view.hkey(view.identity())
     d = m
     for p in factorint(m):
-        while d % p == 0 and view.hkey(view.pow(g, d // p)) == id_key:
+        while d % p == 0 and view.hkey(view.power(g, d // p)) == id_key:
             d //= p
     return d
 
@@ -330,7 +305,7 @@ def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
     def elem(t):
         k = t[0]
         if k not in cache:
-            cache[k] = view.pow(g, k)
+            cache[k] = view.power(g, k)
         return cache[k]
 
     def eval_fn(t):
@@ -347,25 +322,22 @@ def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
 
 
 def find_order(
-    source,
+    view: GroupView,
     g,
     cfg: SolverConfig,
     order_bound: Optional[int] = None,
 ) -> int:
-    """Exact order of g (or of its coset when `source` is a quotient view),
-    realized as the Abelian HSP over Z_m with f(k) = label(g^k)."""
-    if isinstance(source, BlackBoxGroup):
-        view = BlackBoxView(source)
-        if order_bound is None:
-            order_bound = source.order_hint
-    else:
-        view = source
+    """Exact order of g (or of its coset when `view` is a quotient view),
+    realized as the Abelian HSP over Z_m with f(k) = label(g^k).  Without an
+    order_bound the view's order_hint is used; quotient views have none."""
+    if order_bound is None:
+        order_bound = view.order_hint
     if order_bound is None:
         raise NoOrderBound("need a known multiple of the order")
     m = int(order_bound)
     if m < 1:
         raise NoOrderBound(f"bad order bound {m}")
-    if view.key(g) == view.key(view.identity()):
+    if view.is_identity(g):
         return 1
     if m == 1:
         return 1
@@ -379,4 +351,4 @@ def find_order(
 
 def coset_label(group: BlackBoxGroup, x: GroupElement, n_elements: Sequence[GroupElement]) -> str:
     """Canonical label of the coset x*N: minimum canonical key over x*N."""
-    return min(group.key(group.multiply(x, n)) for n in n_elements)
+    return _coset_keys(n_elements, group.multiply, group.key)(x)

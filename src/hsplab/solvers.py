@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, lcm, log2
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     BlackBoxGroup,
@@ -34,6 +34,7 @@ from .linalg import (
     AbelianStructure,
     CosetQuotientView,
     decompose_abelian,
+    view_closure,
 )
 from .normalsub import hidden_normal_subgroup
 from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
@@ -186,7 +187,7 @@ def check_elem2_normal(
         if not G.is_identity(G.multiply(a, a)):
             raise NotElementaryAbelian2("a generator has order > 2")
         for b in n_gens[i + 1 :]:
-            if not G.equal(G.multiply(a, b), G.multiply(b, a)):
+            if not G.commute(a, b):
                 raise NotElementaryAbelian2("generators do not commute")
     n_elements = enumerate_closure(G, n_gens, bound)
     keys = {G.key(x) for x in n_elements}
@@ -261,38 +262,23 @@ def _assemble(
     return gens + [x for x in h_cap_n if not G.is_identity(x)]
 
 
-def solve_elem2_small_quotient(
+def _solve_elem2(
     G: BlackBoxGroup,
     n_gens: Sequence[GroupElement],
     f: HidingOracle,
     cfg: SolverConfig,
-    quotient_bound: int = 256,
+    method: str,
+    coset_reps: Callable[[CosetQuotientView], list[GroupElement]],
 ) -> SubgroupResult:
-    """Hidden subgroup given an elementary Abelian normal 2-subgroup N with
-    small G/N: probe every coset representative."""
+    """The frame both elem2 solvers share: check N, find H on N, probe each
+    coset representative V = coset_reps(G/N) but the first (the identity)
+    for a member of H, and assemble H from the picks and H on N."""
     f_start = f.query_count
     ops_start = G.stats.group_ops
     n_elements = check_elem2_normal(G, n_gens)
     dec = decompose_abelian(G, list(n_gens))
     h_cap_n = intersect_with_normal(dec, f, cfg.child("cap"))
-
-    # coset representatives by the worklist over the generators
-    qview = CosetQuotientView(G, n_elements)
-    reps = [G.identity()]
-    rep_keys = {qview.key(reps[0])}
-    work = [reps[0]]
-    while work:
-        v = work.pop(0)
-        for g in G.generators:
-            c = G.multiply(v, g)
-            k = qview.key(c)
-            if k not in rep_keys:
-                if len(reps) >= quotient_bound:
-                    raise QuotientBoundExceeded(f"|G/N| exceeds {quotient_bound}")
-                rep_keys.add(k)
-                reps.append(c)
-                work.append(c)
-
+    reps = coset_reps(CosetQuotientView(G, n_elements))
     picks = [
         coset_intersection_pick(G, dec, f, z, cfg.child("pick"))
         for z in reps[1:]
@@ -302,7 +288,26 @@ def solve_elem2_small_quotient(
     used = f.query_count - f_start
     assert used <= budget, f"f-query budget exceeded: {used} > {budget}"
     stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.rng.draws)
-    return SubgroupResult(gens, stats, "elem2-small", budget, coset_reps=reps)
+    return SubgroupResult(gens, stats, method, budget, coset_reps=reps)
+
+
+def solve_elem2_small_quotient(
+    G: BlackBoxGroup,
+    n_gens: Sequence[GroupElement],
+    f: HidingOracle,
+    cfg: SolverConfig,
+    quotient_bound: int = 256,
+) -> SubgroupResult:
+    """Hidden subgroup given an elementary Abelian normal 2-subgroup N with
+    small G/N: probe every coset representative."""
+
+    def every_coset(qview: CosetQuotientView) -> list[GroupElement]:
+        try:
+            return view_closure(qview, G.generators, quotient_bound)
+        except BoundExceeded as exc:
+            raise QuotientBoundExceeded(f"|G/N| exceeds {quotient_bound}") from exc
+
+    return _solve_elem2(G, n_gens, f, cfg, "elem2-small", every_coset)
 
 
 def solve_elem2_cyclic(
@@ -315,63 +320,49 @@ def solve_elem2_cyclic(
     generators of the quotient, so |V| stays logarithmic in |G/N|."""
     from sympy import factorint
 
-    f_start = f.query_count
-    ops_start = G.stats.group_ops
-    n_elements = check_elem2_normal(G, n_gens)
-    dec = decompose_abelian(G, list(n_gens))
-    h_cap_n = intersect_with_normal(dec, f, cfg.child("cap"))
+    def sylow_chains(qview: CosetQuotientView) -> list[GroupElement]:
+        id_key = qview.key(G.identity())
 
-    qview = CosetQuotientView(G, n_elements)
-    id_key = qview.key(G.identity())
+        def quotient_order(x: GroupElement) -> int:
+            ambient = find_order(G, x, cfg.child("amb"), order_bound=G.order_hint)
+            return find_order(qview, x, cfg.child("quot"), order_bound=ambient)
 
-    def quotient_order(x: GroupElement) -> int:
-        ambient = find_order(G, x, cfg.child("amb"), order_bound=G.order_hint)
-        return find_order(qview, x, cfg.child("quot"), order_bound=ambient)
+        orders = [quotient_order(g) for g in G.generators]
+        q = lcm(*orders) if orders else 1
 
-    orders = [quotient_order(g) for g in G.generators]
-    q = lcm(*orders) if orders else 1
+        steps = list(G.generators) + [G.invert(g) for g in G.generators]
 
-    steps = list(G.generators) + [G.invert(g) for g in G.generators]
+        def random_element() -> GroupElement:
+            length = 16 + 2 * q.bit_length()
+            x = G.identity()
+            for _ in range(length):
+                x = G.multiply(x, cfg.rng.choice(steps))
+            return x
 
-    def random_element() -> GroupElement:
-        length = 16 + 2 * q.bit_length()
-        x = G.identity()
-        for _ in range(length):
-            x = G.multiply(x, cfg.rng.choice(steps))
-        return x
+        reps = [G.identity()]
+        rep_keys = {id_key}
+        sylow_exponents = {}
+        for p, h in sorted(factorint(q).items()):
+            target = p**h
+            attempts = max(1, ceil(log2(1.0 / cfg.epsilon))) + 2
+            x_p = None
+            for _ in range(attempts):
+                cand = G.power(random_element(), q // target)
+                if quotient_order(cand) == target:
+                    x_p = cand
+                    break
+            if x_p is None:
+                raise NotCyclicQuotient(f"no generator found for the Sylow {p}-subgroup")
+            sylow_exponents[p] = h
+            # powers x_p^(p^j) walk down the subgroup chain of the cyclic Sylow
+            for j in range(h):
+                cur = G.power(x_p, p**j)
+                k = qview.key(cur)
+                if k != id_key and k not in rep_keys:
+                    rep_keys.add(k)
+                    reps.append(cur)
 
-    reps = [G.identity()]
-    rep_keys = {id_key}
-    sylow_exponents = {}
-    for p, h in sorted(factorint(q).items()):
-        target = p**h
-        attempts = max(1, ceil(log2(1.0 / cfg.epsilon))) + 2
-        x_p = None
-        for _ in range(attempts):
-            cand = G.power(random_element(), q // target)
-            if quotient_order(cand) == target:
-                x_p = cand
-                break
-        if x_p is None:
-            raise NotCyclicQuotient(f"no generator found for the Sylow {p}-subgroup")
-        sylow_exponents[p] = h
-        # powers x_p^(p^j) walk down the subgroup chain of the cyclic Sylow
-        for j in range(h):
-            cur = G.power(x_p, p**j)
-            k = qview.key(cur)
-            if k != id_key and k not in rep_keys:
-                rep_keys.add(k)
-                reps.append(cur)
+        assert len(reps) <= 1 + sum(sylow_exponents.values())
+        return reps
 
-    assert len(reps) <= 1 + sum(sylow_exponents.values())
-
-    picks = [
-        coset_intersection_pick(G, dec, f, z, cfg.child("pick"))
-        for z in reps[1:]
-    ]
-    gens = _assemble(G, f, picks, h_cap_n)
-    budget = elem2_query_budget(len(reps), len(n_elements), cfg.epsilon)
-    used = f.query_count - f_start
-    assert used <= budget, f"f-query budget exceeded: {used} > {budget}"
-    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.rng.draws)
-    return SubgroupResult(gens, stats, "elem2-cyclic", budget, coset_reps=reps)
+    return _solve_elem2(G, n_gens, f, cfg, "elem2-cyclic", sylow_chains)

@@ -32,6 +32,13 @@ from .errors import BadSpec
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadSpec(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_cycles(text: str, degree: int) -> list[int]:
     """1-based cycle notation to a 0-based image list; 'e' or '()' is identity."""
     images = list(range(degree))
@@ -41,7 +48,7 @@ def parse_cycles(text: str, degree: int) -> list[int]:
     if not _CYCLE_RE.search(stripped) or _CYCLE_RE.sub("", stripped).strip():
         raise BadSpec(f"bad cycle notation: {text!r}")
     for cycle in _CYCLE_RE.findall(stripped):
-        points = [int(tok) for tok in cycle.split()]
+        points = [_int(tok, "a cycle point") for tok in cycle.split()]
         if not points:
             continue
         if any(p < 1 or p > degree for p in points) or len(set(points)) != len(points):
@@ -90,14 +97,14 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
     fields = pairs[1:]
 
     def ints(value: str) -> list[int]:
-        return [int(tok) for tok in value.split()]
+        return [_int(tok, "a modulus") for tok in value.split()]
 
     if kind == "permutation":
         degree = None
         perms = []
         for key, value in fields:
             if key == "degree":
-                degree = int(value)
+                degree = _int(value, "degree")
             elif key == "gen":
                 if degree is None:
                     raise BadSpec("degree must precede generators")
@@ -111,7 +118,7 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
         matrices = []
         for key, value in fields:
             if key == "dim":
-                dim = int(value)
+                dim = _int(value, "dim")
             elif key == "gen":
                 matrices.append(value.split())
             else:
@@ -124,7 +131,7 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
         translations = []
         for key, value in fields:
             if key == "k":
-                k = int(value)
+                k = _int(value, "k")
             elif key == "block":
                 block = value.split()
             elif key == "trans":
@@ -137,7 +144,7 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
         k = None
         for key, value in fields:
             if key == "k":
-                k = int(value)
+                k = _int(value, "k")
             else:
                 raise BadSpec(f"unknown key {key!r} for wreath")
         return GroupSpec(kind="wreath", k=k)
@@ -147,7 +154,7 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
         variant = "exponent-p"
         for key, value in fields:
             if key == "p":
-                p = int(value)
+                p = _int(value, "p")
             elif key == "variant":
                 variant = value
             else:

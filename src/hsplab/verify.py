@@ -7,31 +7,15 @@ acceptance check and never feed back into the solvers.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from scipy.stats import chi2 as _chi2
 
-from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
+from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure
 from .errors import BoundExceeded
 from .sim import RngStream
 
 EXHAUSTIVE_CAP = 1 << 10
-
-
-@dataclass
-class VerificationReport:
-    instance: str
-    expected_order: int
-    result_order: int
-    equal: bool
-    f_queries: int
-    wall_time: float
-
-    def __post_init__(self):
-        if self.equal:
-            assert self.expected_order == self.result_order
 
 
 def brute_force_hsp(
@@ -122,25 +106,3 @@ def chi_square_uniform(samples: Sequence, support: Sequence) -> tuple[float, flo
     p = float(_chi2.sf(stat, k - 1))
     return stat, p
 
-
-def verify_result(
-    G: BlackBoxGroup,
-    elements: Sequence[GroupElement],
-    f: HidingOracle,
-    result_gens: Sequence[GroupElement],
-    instance: str = "",
-    f_queries: int = 0,
-    started: Optional[float] = None,
-) -> VerificationReport:
-    """Compare closure(result) against the brute-force oracle."""
-    expected = brute_force_hsp(G, elements, f)
-    got = enumerate_closure(G, result_gens, len(elements) + 1)
-    equal = subgroup_key(G, expected) == subgroup_key(G, got)
-    return VerificationReport(
-        instance=instance,
-        expected_order=len(expected),
-        result_order=len(got) if equal else len(got),
-        equal=equal,
-        f_queries=f_queries,
-        wall_time=(time.monotonic() - started) if started else 0.0,
-    )

@@ -33,9 +33,11 @@ MASTER_SEED = 0xACCE97
 RECORDS: dict[str, dict] = {}
 
 
-def _record(name, runs, mismatches, elapsed, detail=""):
+def _record(name, runs, mismatches, elapsed, detail="", allowed=0):
+    """Print the criterion's status line; `allowed` is the test's own bound
+    on mismatches."""
     RECORDS[name] = {"runs": runs, "mismatches": mismatches, "elapsed": elapsed}
-    status = "PASS" if mismatches == 0 or name in ("criterion-3",) else "FAIL"
+    status = "PASS" if mismatches <= allowed else "FAIL"
     extra = f" {detail}" if detail else ""
     print(
         f"\n[{name}] {status}: {runs - mismatches}/{runs} ok in {elapsed:.1f}s{extra}",
@@ -156,7 +158,7 @@ def test_criterion_3_constructive_membership(s8):
         if not ok:
             failures += 1
     elapsed = time.monotonic() - start
-    _record("criterion-3", runs, failures, elapsed)
+    _record("criterion-3", runs, failures, elapsed, allowed=1)
     assert failures <= 1
     assert elapsed <= 60.0
 

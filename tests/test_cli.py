@@ -1,6 +1,7 @@
 """CLI: report schema, exit codes, determinism, suite mode."""
 
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -82,6 +83,11 @@ def test_exit_codes(group_dir):
     assert code == 3
     code, report = run(RunConfig(str(group_dir / "z46.grp"), hidden="zzzzz"))
     assert code == 3
+    (group_dir / "binary.grp").write_bytes(b"\xff\xfe\x00")
+    code, report = run(RunConfig(str(group_dir / "binary.grp"), hidden="0"))
+    assert code == 3
+    code, report = run(RunConfig(str(group_dir / "z46.grp"), hidden="@binary.grp"))
+    assert code == 3
     with pytest.raises(BadSpec):
         RunConfig(str(group_dir / "z46.grp"), hidden="01000", epsilon=0.7)
 
@@ -146,3 +152,41 @@ def test_main_writes_report(group_dir, capsys):
 def test_main_requires_group_and_hidden():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_malformed_numbers_exit_3(group_dir, capsys):
+    (group_dir / "four.grp").write_text("kind = abelian\nmoduli = four\n")
+    out = group_dir / "report.json"
+    code = main(["--group", str(group_dir / "four.grp"), "--hidden", "0", "--report", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["error"].startswith("spec error")
+    code = main(["--group", str(group_dir / "z46.grp"), "--hidden", "5:zz", "--report", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["error"].startswith("spec error")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: c["report"]["config"]["solver"])
+def test_golden_reports(tmp_path, case):
+    """Fixed-seed reports, one per solver, equal the recorded ones field by
+    field (all but the wall time and the spec's directory)."""
+    (tmp_path / case["group"]).write_text(GOLDEN["specs"][case["group"]])
+    config = case["report"]["config"]
+    code, report = run(
+        RunConfig(
+            str(tmp_path / case["group"]),
+            hidden=config["hidden"],
+            solver=config["solver"],
+            epsilon=config["epsilon"],
+            seed=config["seed"],
+            verify=config["verify"],
+        )
+    )
+    report.pop("wall_time_s")
+    assert report["config"].pop("group") == str(tmp_path / case["group"])
+    assert code == case["code"]
+    assert sorted(report) == sorted(case["report"])
+    for field, value in case["report"].items():
+        assert report[field] == value, field

@@ -3,8 +3,13 @@
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
-from hsplab.errors import NotCommuting
-from hsplab.membership import ExponentTuple, constructive_membership, extract_expression
+from hsplab.errors import MemberUnverified, NotCommuting
+from hsplab.membership import (
+    ExponentTuple,
+    MembershipAnswer,
+    constructive_membership,
+    extract_expression,
+)
 from hsplab.sim import RngStream, SolverConfig
 from hsplab.specfile import parse_cycles
 
@@ -122,3 +127,19 @@ def test_extract_expression_trivial_s():
     got = extract_expression([], (5, 3, 1))
     assert got is not None
     assert got.values == (0, 0)
+
+
+def test_unverified_member_answer_raises(s8, monkeypatch):
+    """A member answer that fails verification on every attempt is an error,
+    not an answer."""
+    from hsplab import membership
+
+    h = GroupElement(s8.backend.encode(parse_cycles("(1 2 3 4 5)", 8)))
+    g = s8.power(h, 2)
+
+    def wrong_exponents(G, view, h_list, g, cfg, mode):
+        return MembershipAnswer(True, ExponentTuple((1,), (5,)))
+
+    monkeypatch.setattr(membership, "_attempt", wrong_exponents)
+    with pytest.raises(MemberUnverified):
+        constructive_membership(s8, [h], g, SolverConfig(seed=50))

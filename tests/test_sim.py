@@ -146,6 +146,22 @@ def test_find_order_requires_bound():
     assert n == 6
 
 
+def test_find_order_on_quotient_view_needs_bound():
+    """A quotient view has no order hint: without order_bound, NoOrderBound."""
+    from hsplab.linalg import CosetQuotientView, LabelQuotientView
+
+    G = affine4_group()
+    n_gens = [GroupElement(b) for b in G.meta["elem2_normal_gens"]]
+    views = [
+        CosetQuotientView(G, enumerate_closure(G, n_gens)),
+        LabelQuotientView(G, make_hiding_oracle(G, n_gens, seed=5)),
+    ]
+    for view in views:
+        with pytest.raises(NoOrderBound):
+            find_order(view, G.generators[0], SolverConfig(seed=2))
+        assert find_order(view, G.generators[0], SolverConfig(seed=2), order_bound=15) == 15
+
+
 def test_coset_label():
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2)))
     n = enumerate_closure(G, [GroupElement(G.backend.encode((0, 1)))])

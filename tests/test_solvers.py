@@ -3,7 +3,7 @@
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
-from hsplab.errors import NotElementaryAbelian2, NotNormal
+from hsplab.errors import NotElementaryAbelian2, NotNormal, QuotientBoundExceeded
 from hsplab.linalg import decompose_abelian
 from hsplab.sim import RngStream, SolverConfig
 from hsplab.solvers import (
@@ -109,6 +109,18 @@ def test_elem2_budget_asserted():
     result = solve_elem2_small_quotient(G, n_gens, f, SolverConfig(seed=66))
     assert result.f_query_budget is not None
     assert result.stats.f_queries <= result.f_query_budget
+
+
+def test_elem2_small_quotient_bound():
+    """|G/N| = 8 on the affine k=5 instance: a smaller quotient_bound refuses."""
+    G = affine5_group()
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    f = make_hiding_oracle(G, [], seed=67)
+    for bound in (1, 7):
+        with pytest.raises(QuotientBoundExceeded):
+            solve_elem2_small_quotient(G, n_gens, f, SolverConfig(seed=68), quotient_bound=bound)
+    result = solve_elem2_small_quotient(G, n_gens, f, SolverConfig(seed=68), quotient_bound=8)
+    assert len(result.coset_reps) == 8
 
 
 def test_check_elem2_normal_rejections(s8):
