@@ -11,7 +11,6 @@ from .core import (
     enumerate_closure,
     make_group,
     make_hiding_oracle,
-    quotient_view_group,
 )
 from .errors import HspError
 from .linalg import (
@@ -32,7 +31,6 @@ from .sim import (
     QuantumFunctionOracle,
     SolverConfig,
     abelian_hsp,
-    coset_label,
     find_order,
     sample_character,
 )

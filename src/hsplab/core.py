@@ -1,8 +1,16 @@
 """Black-box group model: element encodings, oracle bundles, concrete backends.
 
 Elements are fixed-length bitstrings.  All semantic access goes through the
-owning group's oracles; equality is decided by the group's equality test
-(encodings may be non-unique), never by the caller comparing raw bits.
+owning group's oracles; equality is decided by the group's key, never by the
+caller comparing raw bits.  A black-box group's encodings are unique, so its
+key is the bitstring; the quotient views of linalg have non-unique encodings
+and keys of their own.
+
+Whether a bitstring encodes a group element is decided in one place,
+`Backend.validate`, where encodings enter: a group's generators, the affine
+spec's block, the CLI's --hidden tokens and a hiding oracle's hidden
+generators.  Every other element is a product of those, so the backends'
+multiply and invert trust their operands and only parse them.
 """
 
 from __future__ import annotations
@@ -20,9 +28,18 @@ MAX_ENCODING_BITS = 1 << 16  # longest length:hex token accepted
 
 
 def enum_bound() -> int:
-    """Enumeration cap; the HSPLAB_MAX_ENUM environment variable overrides it."""
+    """Enumeration cap; the HSPLAB_MAX_ENUM environment variable, a positive
+    integer, overrides it (unset or empty: the default)."""
     value = os.environ.get("HSPLAB_MAX_ENUM")
-    return int(value) if value else DEFAULT_ENUM_BOUND
+    if not value:
+        return DEFAULT_ENUM_BOUND
+    try:
+        bound = int(value)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise BadSpec(f"HSPLAB_MAX_ENUM must be a positive integer, got {value!r}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -96,32 +113,36 @@ def _join(values: Iterable[int], width: int) -> str:
 
 
 class Backend:
-    """Concrete realization of the multiply/invert/identity oracles."""
+    """Concrete realization of the multiply/invert/identity oracles.
+
+    `decode` only parses, and `mul_bits`/`inv_bits` trust their operands:
+    membership is decided once, by `validate`, where an encoding enters.
+    """
 
     kind: str
     n: int
-    unique_encoding: bool = True
     order_hint: Optional[int] = None
 
     def identity_bits(self) -> str:
         raise NotImplementedError
 
-    def validate(self, bits: str) -> None:
+    def decode(self, bits: str):
         raise NotImplementedError
+
+    def _is_element(self, decoded) -> bool:
+        """Whether a parsed encoding of the right length is a group element."""
+        return True
+
+    def validate(self, bits: str) -> None:
+        """Raise InvalidEncoding unless bits encodes an element of the group."""
+        if len(bits) != self.n or set(bits) - {"0", "1"} or not self._is_element(self.decode(bits)):
+            raise InvalidEncoding(f"not a {self.kind} element: {bits!r}")
 
     def mul_bits(self, a: str, b: str) -> str:
         raise NotImplementedError
 
     def inv_bits(self, a: str) -> str:
         raise NotImplementedError
-
-    def key_bits(self, a: str) -> str:
-        """Canonical key deciding equality; identical to bits when unique."""
-        return a
-
-    def _check_length(self, bits: str) -> None:
-        if len(bits) != self.n or set(bits) - {"0", "1"}:
-            raise InvalidEncoding(f"bad encoding for {self.kind}: {bits!r}")
 
 
 class PermutationBackend(Backend):
@@ -138,20 +159,16 @@ class PermutationBackend(Backend):
         self.order_hint = factorial(degree)
 
     def decode(self, bits: str) -> list[int]:
-        self._check_length(bits)
-        images = _split(bits, self.width)
-        if sorted(images) != list(range(self.degree)):
-            raise InvalidEncoding(f"not a permutation: {bits!r}")
-        return images
+        return _split(bits, self.width)
+
+    def _is_element(self, images: list[int]) -> bool:
+        return sorted(images) == list(range(self.degree))
 
     def encode(self, images: Sequence[int]) -> str:
         return _join(images, self.width)
 
     def identity_bits(self) -> str:
         return self.encode(range(self.degree))
-
-    def validate(self, bits: str) -> None:
-        self.decode(bits)
 
     def mul_bits(self, a: str, b: str) -> str:
         pa, pb = self.decode(a), self.decode(b)
@@ -178,16 +195,13 @@ class Gf2MatrixBackend(Backend):
         self.order_hint = prod(2**dim - 2**i for i in range(dim))
 
     def decode(self, bits: str) -> list[int]:
-        self._check_length(bits)
-        rows = [int(bits[i * self.dim : (i + 1) * self.dim], 2) for i in range(self.dim)]
-        if not self._invertible(rows):
-            raise InvalidEncoding(f"singular matrix: {bits!r}")
-        return rows
+        return [int(bits[i * self.dim : (i + 1) * self.dim], 2) for i in range(self.dim)]
 
     def encode(self, rows: Sequence[int]) -> str:
         return "".join(format(r, f"0{self.dim}b") for r in rows)
 
-    def _invertible(self, rows: Sequence[int]) -> bool:
+    def _is_element(self, rows: Sequence[int]) -> bool:
+        """Invertibility, by Gaussian elimination."""
         work = list(rows)
         rank = 0
         for col in range(self.dim - 1, -1, -1):
@@ -203,9 +217,6 @@ class Gf2MatrixBackend(Backend):
 
     def identity_bits(self) -> str:
         return self.encode([1 << (self.dim - 1 - i) for i in range(self.dim)])
-
-    def validate(self, bits: str) -> None:
-        self.decode(bits)
 
     def _mul_rows(self, ra: Sequence[int], rb: Sequence[int]) -> list[int]:
         out = []
@@ -249,11 +260,8 @@ class AffineGf2Backend(Gf2MatrixBackend):
         super().__init__(k + 1)
         self.k = k
 
-    def decode(self, bits: str) -> list[int]:
-        rows = super().decode(bits)
-        if rows[-1] != 1:
-            raise InvalidEncoding(f"not an affine matrix: {bits!r}")
-        return rows
+    def _is_element(self, rows: Sequence[int]) -> bool:
+        return rows[-1] == 1 and super()._is_element(rows)
 
 
 class WreathBackend(Backend):
@@ -269,7 +277,6 @@ class WreathBackend(Backend):
         self.order_hint = 2 ** (2 * k + 1)
 
     def decode(self, bits: str) -> tuple[int, int, int]:
-        self._check_length(bits)
         k = self.k
         return int(bits[:k], 2), int(bits[k : 2 * k], 2), int(bits[2 * k])
 
@@ -279,9 +286,6 @@ class WreathBackend(Backend):
 
     def identity_bits(self) -> str:
         return self.encode(0, 0, 0)
-
-    def validate(self, bits: str) -> None:
-        self.decode(bits)
 
     def mul_bits(self, a: str, b: str) -> str:
         v1, w1, s1 = self.decode(a)
@@ -297,7 +301,30 @@ class WreathBackend(Backend):
         return self.encode(v, w, s)
 
 
-class ExtraSpecialBackend(Backend):
+class _MixedRadixBackend(Backend):
+    """Coordinate tuples 0 <= v_i < moduli[i], each in a bit field of widths[i]."""
+
+    moduli: Sequence[int]
+    widths: list[int]
+
+    def decode(self, bits: str) -> list[int]:
+        values, pos = [], 0
+        for width in self.widths:
+            values.append(int(bits[pos : pos + width], 2))
+            pos += width
+        return values
+
+    def _is_element(self, values: list[int]) -> bool:
+        return all(v < m for v, m in zip(values, self.moduli))
+
+    def encode(self, values: Sequence[int]) -> str:
+        return "".join(format(v, f"0{w}b") for v, w in zip(values, self.widths))
+
+    def identity_bits(self) -> str:
+        return self.encode([0] * len(self.widths))
+
+
+class ExtraSpecialBackend(_MixedRadixBackend):
     """Extra-special group of order p^3 for an odd prime p.
 
     variant "exponent-p": Heisenberg triples (a, b, c) over Z_p with
@@ -328,26 +355,6 @@ class ExtraSpecialBackend(Backend):
         self.n = sum(self.widths)
         self.order_hint = p**3
 
-    def decode(self, bits: str) -> list[int]:
-        self._check_length(bits)
-        values, pos = [], 0
-        for width, mod in zip(self.widths, self.moduli):
-            v = int(bits[pos : pos + width], 2)
-            if v >= mod:
-                raise InvalidEncoding(f"coordinate out of range: {bits!r}")
-            values.append(v)
-            pos += width
-        return values
-
-    def encode(self, values: Sequence[int]) -> str:
-        return "".join(format(v, f"0{w}b") for v, w in zip(values, self.widths))
-
-    def identity_bits(self) -> str:
-        return self.encode([0] * len(self.widths))
-
-    def validate(self, bits: str) -> None:
-        self.decode(bits)
-
     def mul_bits(self, a: str, b: str) -> str:
         p = self.p
         if self.variant == "exponent-p":
@@ -367,7 +374,7 @@ class ExtraSpecialBackend(Backend):
         return self.encode([(-x * pow(1 + p, -y % p, p * p)) % (p * p), (-y) % p])
 
 
-class AbelianBackend(Backend):
+class AbelianBackend(_MixedRadixBackend):
     """Direct product of cyclic groups Z_m1 x ... x Z_mk, additive tuples."""
 
     kind = "abelian"
@@ -381,26 +388,6 @@ class AbelianBackend(Backend):
         self.widths = [_chunk_width(m) for m in moduli]
         self.n = sum(self.widths)
         self.order_hint = prod(moduli)
-
-    def decode(self, bits: str) -> list[int]:
-        self._check_length(bits)
-        values, pos = [], 0
-        for width, mod in zip(self.widths, self.moduli):
-            v = int(bits[pos : pos + width], 2)
-            if v >= mod:
-                raise InvalidEncoding(f"coordinate out of range: {bits!r}")
-            values.append(v)
-            pos += width
-        return values
-
-    def encode(self, values: Sequence[int]) -> str:
-        return "".join(format(v, f"0{w}b") for v, w in zip(values, self.widths))
-
-    def identity_bits(self) -> str:
-        return self.encode([0] * len(self.moduli))
-
-    def validate(self, bits: str) -> None:
-        self.decode(bits)
 
     def mul_bits(self, a: str, b: str) -> str:
         va, vb = self.decode(a), self.decode(b)
@@ -420,12 +407,11 @@ class ProductBackend(Backend):
             raise BadSpec("empty product")
         self.parts = list(parts)
         self.n = sum(p.n for p in parts)
-        self.unique_encoding = all(p.unique_encoding for p in parts)
         hints = [p.order_hint for p in parts]
         self.order_hint = prod(hints) if all(hints) else None
 
-    def _pieces(self, bits: str) -> list[str]:
-        self._check_length(bits)
+    def decode(self, bits: str) -> list[str]:
+        """The parts' encodings."""
         out, pos = [], 0
         for part in self.parts:
             out.append(bits[pos : pos + part.n])
@@ -436,52 +422,17 @@ class ProductBackend(Backend):
         return "".join(p.identity_bits() for p in self.parts)
 
     def validate(self, bits: str) -> None:
-        for part, piece in zip(self.parts, self._pieces(bits)):
+        super().validate(bits)
+        for part, piece in zip(self.parts, self.decode(bits)):
             part.validate(piece)
 
     def mul_bits(self, a: str, b: str) -> str:
         return "".join(
-            p.mul_bits(x, y) for p, x, y in zip(self.parts, self._pieces(a), self._pieces(b))
+            p.mul_bits(x, y) for p, x, y in zip(self.parts, self.decode(a), self.decode(b))
         )
 
     def inv_bits(self, a: str) -> str:
-        return "".join(p.inv_bits(x) for p, x in zip(self.parts, self._pieces(a)))
-
-    def key_bits(self, a: str) -> str:
-        return "".join(p.key_bits(x) for p, x in zip(self.parts, self._pieces(a)))
-
-
-class QuotientBackend(Backend):
-    """View of G/N with non-unique encodings: any G-encoding represents its coset.
-
-    Equality goes through the canonical coset key (minimum base key over the
-    enumerated coset), so bitwise-distinct encodings of one element occur.
-    """
-
-    kind = "quotient-view"
-    unique_encoding = False
-
-    def __init__(self, base: Backend, n_elements_bits: Sequence[str]):
-        self.base = base
-        self.n = base.n
-        self.order_hint = base.order_hint
-        # backend products: uncounted, unlike the group-level coset keys
-        self._coset_key = _coset_keys(n_elements_bits, base.mul_bits, base.key_bits)
-
-    def identity_bits(self) -> str:
-        return self.base.identity_bits()
-
-    def validate(self, bits: str) -> None:
-        self.base.validate(bits)
-
-    def mul_bits(self, a: str, b: str) -> str:
-        return self.base.mul_bits(a, b)
-
-    def inv_bits(self, a: str) -> str:
-        return self.base.inv_bits(a)
-
-    def key_bits(self, a: str) -> str:
-        return self._coset_key(a)
+        return "".join(p.inv_bits(x) for p, x in zip(self.parts, self.decode(a)))
 
 
 class GroupView:
@@ -544,17 +495,12 @@ class BlackBoxGroup(GroupView):
 
     def __init__(self, backend: Backend, generator_bits: Sequence[str], meta: Optional[dict] = None):
         self.backend = backend
-        self.encoding_length = backend.n
         self.stats = QueryStats()
         self.meta = meta or {}
         self._identity = GroupElement(backend.identity_bits())
         for bits in generator_bits:
             backend.validate(bits)
         self.generators = [GroupElement(b) for b in generator_bits] or [self._identity]
-
-    @property
-    def unique_encoding(self) -> bool:
-        return self.backend.unique_encoding
 
     @property
     def order_hint(self) -> Optional[int]:
@@ -572,7 +518,7 @@ class BlackBoxGroup(GroupView):
         return GroupElement(self.backend.inv_bits(g.bits))
 
     def key(self, g: GroupElement) -> str:
-        return self.backend.key_bits(g.bits)
+        return g.bits
 
 
 @dataclass
@@ -632,9 +578,7 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
         for rows in spec.matrices:
             if len(rows) != spec.dim or any(len(r) != spec.dim for r in rows):
                 raise BadSpec(f"bad matrix shape: {rows}")
-            bits = "".join(rows)
-            backend.validate(bits)
-            gens.append(bits)
+            gens.append("".join(rows))
         return BlackBoxGroup(backend, gens)
 
     if spec.kind == "affinegf2":
@@ -651,8 +595,7 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
             "block_order": block_order,
             "elem2_normal_gens": trans_gens,
         }
-        group = BlackBoxGroup(backend, [block_gen] + trans_gens, meta)
-        return group
+        return BlackBoxGroup(backend, [block_gen] + trans_gens, meta)
 
     if spec.kind == "wreath":
         if not spec.k:
@@ -726,19 +669,13 @@ def _order_of(x, multiply: Callable, at_identity: Callable, cap: int) -> int:
     raise BoundExceeded("element order exceeds cap")
 
 
-def quotient_view_group(G: BlackBoxGroup, n_elements: Sequence[GroupElement]) -> BlackBoxGroup:
-    """G/N as a black-box group with non-unique encodings (same bitstrings)."""
-    backend = QuotientBackend(G.backend, [x.bits for x in n_elements])
-    return BlackBoxGroup(backend, [g.bits for g in G.generators], dict(G.meta))
-
-
 def enumerate_closure(
     G: BlackBoxGroup,
     seeds: Sequence[GroupElement],
     bound: Optional[int] = None,
 ) -> list[GroupElement]:
     """All distinct elements of <seeds>, BFS order, identity first."""
-    bound = bound or enum_bound()
+    bound = enum_bound() if bound is None else bound
     if bound < 1:
         raise BoundExceeded("bound must be at least 1")
     return _closure(G, [s for s in seeds if not G.is_identity(s)], bound)
@@ -788,11 +725,7 @@ class HidingOracle:
                 canonical.encode(), key=seed_key, digest_size=digest_size
             ).hexdigest()
 
-        self._coset_label = _coset_keys(h_elements, G.multiply, G.key, obfuscate)
-
-    def _label(self, g: GroupElement) -> str:
-        self.group.backend.validate(g.bits)
-        return self._coset_label(g)
+        self._label = _coset_keys(h_elements, G.multiply, G.key, obfuscate)
 
     def eval(self, g: GroupElement) -> str:
         self.query_count += 1
@@ -810,6 +743,9 @@ def make_hiding_oracle(
     seed: int = 0,
     bound: Optional[int] = None,
 ) -> HidingOracle:
-    """Build a hiding oracle for <h_gens> by enumerating the subgroup."""
+    """Build a hiding oracle for <h_gens> by enumerating the subgroup; the
+    generators are validated here, so the oracle trusts what it labels."""
+    for g in h_gens:
+        G.backend.validate(g.bits)
     h_elements = enumerate_closure(G, h_gens, bound)
     return HidingOracle(G, h_elements, seed=seed)

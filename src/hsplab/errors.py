@@ -75,3 +75,11 @@ class NotCyclicQuotient(HspError):
 
 class UnsupportedInstance(HspError):
     """No implemented solver applies to the instance."""
+
+
+class BudgetExceeded(HspError):
+    """A solver issued more f-queries than its closed-form budget allows."""
+
+
+class InvariantBroken(HspError):
+    """An internal invariant failed: a library bug, not a bad input."""

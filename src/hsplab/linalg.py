@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .errors import NotAbelian
+from .errors import InvariantBroken, NotAbelian
 from .core import (
     BlackBoxGroup,
     GroupElement,
@@ -87,34 +87,6 @@ class CharacterVector:
 
 def identity_matrix(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    return [
-        [sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)]
-        for row in a
-    ]
-
-
-def det(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -453,7 +425,8 @@ def decompose_abelian(
             if _order_of(cand, view.multiply, at_identity, order) == best_t:
                 lift = cand
                 break
-        assert lift is not None, "maximal-order lift must exist in an Abelian group"
+        if lift is None:
+            raise InvariantBroken("no maximal-order lift, though the group is Abelian")
         chosen.append(lift)
         invariant_orders.append(best_t)
         k_elements = view_closure(view, chosen, bound)
@@ -492,5 +465,6 @@ def decompose_abelian(
                     to_tuple[view.key(y)] = t2
                     nxt.append(t2)
         frontier = nxt
-    assert len(to_tuple) == order, "decomposition tables must cover the group"
+    if len(to_tuple) != order:
+        raise InvariantBroken(f"decomposition tables cover {len(to_tuple)} of {order} elements")
     return AbelianDecomposition(view, structure, basis, to_tuple, elements)

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, GroupView, enumerate_closure, HidingOracle
-from .errors import MemberUnverified, NotCommuting
+from .errors import HspError, InvariantBroken, MemberUnverified, NotCommuting
 from .linalg import (
     AbelianStructure,
     CosetQuotientView,
@@ -36,7 +36,8 @@ class ExponentTuple:
     moduli: tuple[int, ...]
 
     def __post_init__(self):
-        assert all(0 <= v < max(m, 1) or m == 1 for v, m in zip(self.values, self.moduli))
+        if not all(0 <= v < max(m, 1) or m == 1 for v, m in zip(self.values, self.moduli)):
+            raise InvariantBroken(f"exponents {self.values} out of range {self.moduli}")
 
 
 @dataclass(frozen=True)
@@ -145,11 +146,13 @@ def membership_view(
     if mode == "unique":
         return G
     if mode == "mod-hidden":
-        assert f is not None
+        if f is None:
+            raise HspError("mod-hidden membership needs the hiding oracle f")
         return LabelQuotientView(G, f)
     if mode == "mod-generated":
         if n_elements is None:
-            assert n_gens is not None
+            if n_gens is None:
+                raise HspError("mod-generated membership needs n_gens or n_elements")
             n_elements = enumerate_closure(G, n_gens)
         return CosetQuotientView(G, n_elements)
     raise ValueError(f"unknown membership mode {mode!r}")

@@ -94,7 +94,7 @@ def normal_closure(
     group generators, interleaved with subgroup closure.  The closure of the
     final generating set is returned as the certificate.
     """
-    bound = bound or enum_bound()
+    bound = enum_bound() if bound is None else bound
     gens = [s for s in seeds if not G.is_identity(s)]
     closure = enumerate_closure(G, gens, bound)
     keys = {G.key(x) for x in closure}

@@ -20,9 +20,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BlackBoxGroup, GroupElement, GroupView, _coset_keys
+from .core import GroupView
 from .errors import (
     HspError,
+    InvariantBroken,
     NoOrderBound,
     OracleInconsistent,
     RoundBudgetExceeded,
@@ -180,8 +181,8 @@ def sample_character(
         perp = state["perp"]
         draw = perp[rng.randrange(len(perp))]
         # sanity: the draw annihilates the hidden subgroup it was derived from
-        for h in state["h_gens"]:
-            assert structure.pairing(draw, h) == 0
+        if any(structure.pairing(draw, h) for h in state["h_gens"]):
+            raise InvariantBroken(f"character {draw} does not annihilate the hidden subgroup")
         return CharacterVector(tuple(draw))
     if backend == "statevector":
         return _statevector_sample(structure, f, rng)
@@ -269,7 +270,8 @@ def abelian_hsp(
             continue
         kernel_gens = solve_character_kernel(structure, samples)
         new_order = subgroup_order(structure, kernel_gens)
-        assert new_order < kernel_order
+        if new_order >= kernel_order:
+            raise InvariantBroken(f"kernel did not shrink: {new_order} >= {kernel_order}")
         kernel_order = new_order
         stable = 0
     if kernel_gens is None:
@@ -347,8 +349,3 @@ def find_order(
     for t in gens:
         d = gcd(d, t[0])
     return d
-
-
-def coset_label(group: BlackBoxGroup, x: GroupElement, n_elements: Sequence[GroupElement]) -> str:
-    """Canonical label of the coset x*N: minimum canonical key over x*N."""
-    return _coset_keys(n_elements, group.multiply, group.key)(x)

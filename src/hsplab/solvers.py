@@ -23,7 +23,9 @@ from .core import (
 )
 from .errors import (
     BoundExceeded,
+    BudgetExceeded,
     CommutatorBoundExceeded,
+    InvariantBroken,
     NotCyclicQuotient,
     NotElementaryAbelian2,
     NotNormal,
@@ -167,7 +169,8 @@ def solve_small_commutator(
         len(g_prime), max(1.0, log2(order_bound)), cfg.epsilon
     )
     used = f.query_count - f_start
-    assert used <= budget, f"f-query budget exceeded: {used} > {budget}"
+    if used > budget:
+        raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
     stats = QueryStats(
         f_queries=used,
         group_ops=G.stats.group_ops - ops_start,
@@ -286,7 +289,8 @@ def _solve_elem2(
     gens = _assemble(G, f, picks, h_cap_n)
     budget = elem2_query_budget(len(reps), len(n_elements), cfg.epsilon)
     used = f.query_count - f_start
-    assert used <= budget, f"f-query budget exceeded: {used} > {budget}"
+    if used > budget:
+        raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
     stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.rng.draws)
     return SubgroupResult(gens, stats, method, budget, coset_reps=reps)
 
@@ -362,7 +366,8 @@ def solve_elem2_cyclic(
                     rep_keys.add(k)
                     reps.append(cur)
 
-        assert len(reps) <= 1 + sum(sylow_exponents.values())
+        if len(reps) > 1 + sum(sylow_exponents.values()):
+            raise InvariantBroken(f"{len(reps)} coset representatives exceed the Sylow chains")
         return reps
 
     return _solve_elem2(G, n_gens, f, cfg, "elem2-cyclic", sylow_chains)

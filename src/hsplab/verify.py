@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from scipy.stats import chi2 as _chi2
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure
-from .errors import BoundExceeded
+from .errors import BoundExceeded, HspError
 from .sim import RngStream
 
 EXHAUSTIVE_CAP = 1 << 10
@@ -93,7 +93,8 @@ def subgroups_of(
 def chi_square_uniform(samples: Sequence, support: Sequence) -> tuple[float, float]:
     """Pearson statistic and p-value against the uniform null on `support`."""
     support = list(support)
-    assert support
+    if not support:
+        raise HspError("chi-square test needs a non-empty support")
     counts = {s: 0 for s in support}
     for s in samples:
         counts[s] += 1

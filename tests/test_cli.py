@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from hsplab import sim, solvers
 from hsplab.cli import RunConfig, main, run, run_suite
 from hsplab.errors import BadSpec
 
@@ -163,6 +164,38 @@ def test_malformed_numbers_exit_3(group_dir, capsys):
     code = main(["--group", str(group_dir / "z46.grp"), "--hidden", "5:zz", "--report", str(out)])
     assert code == 3
     assert json.loads(out.read_text())["error"].startswith("spec error")
+
+
+def test_hidden_out_of_range_coordinate_exits_3(group_dir):
+    # Z4 x Z6 encodes (a, b) in 2 + 3 bits; b = 7 is well formed but no element
+    code, report = run(RunConfig(str(group_dir / "z46.grp"), hidden="00111"))
+    assert code == 3
+    assert report["error"].startswith("spec error")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_max_enum_exits_3(group_dir, monkeypatch, value):
+    monkeypatch.setenv("HSPLAB_MAX_ENUM", value)
+    out = group_dir / "report.json"
+    code = main(["--group", str(group_dir / "z46.grp"), "--hidden", "00001", "--report", str(out)])
+    assert code == 3
+    assert "HSPLAB_MAX_ENUM" in json.loads(out.read_text())["error"]
+
+
+def test_broken_guarantees_exit_1(group_dir, monkeypatch):
+    """A budget overrun and a broken invariant are solver errors, exit 1."""
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "commutator_query_budget", lambda *args: 0)
+        code, report = run(
+            RunConfig(str(group_dir / "es3.grp"), hidden="000010", solver="commutator", seed=6)
+        )
+    assert code == 1
+    assert "BudgetExceeded" in report["error"]
+    # a kernel that never shrinks trips abelian_hsp's invariant
+    monkeypatch.setattr(sim, "subgroup_order", lambda structure, gens: structure.order)
+    code, report = run(RunConfig(str(group_dir / "z46.grp"), hidden="01000", seed=5))
+    assert code == 1
+    assert "InvariantBroken" in report["error"]
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())

@@ -1,16 +1,22 @@
 """Group backends: axioms, fixed composition tables, hiding oracles."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import hsplab
 from hsplab.core import (
     GroupElement,
     GroupSpec,
+    enum_bound,
     enumerate_closure,
     make_group,
     make_hiding_oracle,
-    quotient_view_group,
 )
 from hsplab.errors import BadSpec, BoundExceeded, InvalidEncoding
+from hsplab.linalg import CosetQuotientView
+from hsplab.normalsub import normal_closure
 from hsplab.sim import RngStream
 from hsplab.specfile import parse_cycles
 
@@ -199,13 +205,15 @@ def test_query_count_tracks_eval_calls():
 
 
 def test_quotient_view_has_nonunique_encodings():
+    """G modulo an enumerated normal subgroup: bitwise-distinct encodings of
+    one element, told equal by the view's key alone."""
     G = make_group(GroupSpec(kind="abelian", moduli=(8,)))
     n_elements = enumerate_closure(G, [GroupElement(G.backend.encode((4,)))])
-    Q = quotient_view_group(G, n_elements)
-    assert not Q.unique_encoding
+    Q = CosetQuotientView(G, n_elements)
     a = GroupElement(G.backend.encode((1,)))
     b = GroupElement(G.backend.encode((5,)))
     assert a.bits != b.bits
+    assert not G.equal(a, b)
     assert Q.equal(a, b)
     # oracles respect the identification
     assert Q.equal(Q.multiply(a, a), Q.multiply(b, b))
@@ -215,3 +223,111 @@ def test_quotient_view_has_nonunique_encodings():
 def test_group_element_hex_round_trip():
     g = GroupElement("01101")
     assert GroupElement.from_hex(g.hex) == g
+
+
+def _transvections(dim: int) -> list[list[str]]:
+    """The matrices 1 + E_ij (i != j) as row bitstrings; they generate GL(dim, 2)."""
+    out = []
+    for i in range(dim):
+        for j in range(dim):
+            if i != j:
+                rows = [1 << (dim - 1 - r) for r in range(dim)]
+                rows[i] |= 1 << (dim - 1 - j)
+                out.append([format(r, f"0{dim}b") for r in rows])
+    return out
+
+
+GL32 = GroupSpec(kind="gf2matrix", dim=3, matrices=_transvections(3))
+
+
+def _accepted(backend) -> set[str]:
+    """Every bitstring of the backend's length that validate accepts."""
+    accepted = set()
+    for value in range(1 << backend.n):
+        bits = format(value, f"0{backend.n}b")
+        try:
+            backend.validate(bits)
+        except InvalidEncoding:
+            continue
+        accepted.add(bits)
+    return accepted
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        (GroupSpec(kind="abelian", moduli=(4, 6)), 24),
+        (GroupSpec(kind="extraspecial", p=3, variant="exponent-p"), 27),
+        (GroupSpec(kind="extraspecial", p=3, variant="exponent-p2"), 27),
+        (GroupSpec(kind="wreath", k=2), 32),
+        (GroupSpec(kind="permutation", degree=4, perms=[[1, 2, 3, 0], [1, 0, 2, 3]]), 24),
+        (GL32, 168),
+        (
+            GroupSpec(
+                kind="product",
+                parts=[
+                    GroupSpec(kind="abelian", moduli=(3,)),
+                    GroupSpec(kind="permutation", degree=3, perms=[[1, 2, 0], [1, 0, 2]]),
+                ],
+            ),
+            18,
+        ),
+    ],
+    ids=lambda x: x.kind if isinstance(x, GroupSpec) else str(x),
+)
+def test_validate_accepts_exactly_the_group(spec, order):
+    """Over all 2^n bitstrings, validate accepts exactly the enumerated group."""
+    G = make_group(spec)
+    elements = {x.bits for x in enumerate_closure(G, G.generators)}
+    assert len(elements) == order
+    assert _accepted(G.backend) == elements
+
+
+def test_affine_validate_accepts_gl_elements_with_last_row_001():
+    gl = make_group(GL32)
+    affine = make_group(GroupSpec(kind="affinegf2", k=2, block=["11", "10"], translations=["10"]))
+    expected = {x.bits for x in enumerate_closure(gl, gl.generators) if x.bits.endswith("001")}
+    assert len(expected) == 24
+    assert _accepted(affine.backend) == expected
+
+
+def test_make_hiding_oracle_validates_hidden_generators():
+    """The oracle's boundary: a well-formed bitstring that is no element."""
+    z3 = make_group(GroupSpec(kind="abelian", moduli=(3,)))
+    for bits in ("11", "0"):
+        with pytest.raises(InvalidEncoding):
+            make_hiding_oracle(z3, [GroupElement(bits)])
+    gl = make_group(GL32)
+    with pytest.raises(InvalidEncoding):
+        make_hiding_oracle(gl, [GroupElement("110110001")])  # singular
+
+
+def test_zero_bound_refuses():
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    assert len(enumerate_closure(G, G.generators)) == 24
+    with pytest.raises(BoundExceeded):
+        enumerate_closure(G, G.generators, bound=0)
+    with pytest.raises(BoundExceeded):
+        normal_closure(G, G.generators, bound=0)
+
+
+def test_enum_bound_environment(monkeypatch):
+    monkeypatch.delenv("HSPLAB_MAX_ENUM", raising=False)
+    assert enum_bound() == 4096
+    monkeypatch.setenv("HSPLAB_MAX_ENUM", "12")
+    assert enum_bound() == 12
+    for value in ("abc", "0", "-3", "2.5"):
+        monkeypatch.setenv("HSPLAB_MAX_ENUM", value)
+        with pytest.raises(BadSpec):
+            enum_bound()
+
+
+def test_library_has_no_assert_statements():
+    """Guards are typed errors: python -O strips assert statements."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(hsplab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -10,14 +10,40 @@ from hsplab.errors import NotAbelian
 from hsplab.linalg import (
     AbelianStructure,
     decompose_abelian,
-    det,
     dual_subgroup,
-    mat_mul,
     smith_normal_form,
     solve_character_kernel,
     subgroup_elements,
     subgroup_order,
 )
+
+
+def mat_mul(a, b):
+    cols = len(b[0])
+    return [
+        [sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)]
+        for row in a
+    ]
+
+
+def det(a) -> int:
+    """Fraction-free Bareiss determinant."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def test_snf_fixed_example():

@@ -6,13 +6,12 @@ import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import NoOrderBound, TooLarge
-from hsplab.linalg import AbelianStructure, subgroup_elements
+from hsplab.linalg import AbelianStructure, CosetQuotientView, subgroup_elements
 from hsplab.sim import (
     QuantumFunctionOracle,
     RngStream,
     SolverConfig,
     abelian_hsp,
-    coset_label,
     find_order,
     sample_character,
     splitmix64,
@@ -163,17 +162,19 @@ def test_find_order_on_quotient_view_needs_bound():
 
 
 def test_coset_label():
+    """The canonical coset key of G modulo an enumerated N."""
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2)))
     n = enumerate_closure(G, [GroupElement(G.backend.encode((0, 1)))])
+    Q = CosetQuotientView(G, n)
     x = GroupElement(G.backend.encode((1, 0)))
     inside = GroupElement(G.backend.encode((0, 1)))
-    assert coset_label(G, inside, n) == coset_label(G, G.identity(), n)
-    assert coset_label(G, x, n) != coset_label(G, G.identity(), n)
+    assert Q.key(inside) == Q.key(G.identity())
+    assert Q.key(x) != Q.key(G.identity())
     # distinct cosets get distinct labels, exhaustively
     elements = enumerate_closure(G, G.generators)
     labels = {}
     for g in elements:
-        labels.setdefault(coset_label(G, g, n), []).append(g)
+        labels.setdefault(Q.key(g), []).append(g)
     assert len(labels) == 2
     for members in labels.values():
         assert len(members) == 2
