@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -54,6 +53,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
             raise BadSpec(f"epsilon must be in (0, 1/2), got {self.epsilon}")
+        if not isinstance(self.hidden, str):
+            raise BadSpec(f"hidden must be a string, got {self.hidden!r}")
 
 
 def parse_hidden(G: BlackBoxGroup, text: str, base_dir: Path) -> list[GroupElement]:
@@ -193,12 +194,14 @@ def run(config: RunConfig) -> tuple[int, dict]:
 
 
 def run_suite(path: Path, master_seed: int, jobs: int = 4) -> tuple[int, list[dict]]:
-    """Run a JSON array of run configs; per-instance seeds are derived by
-    splitmix64(master_seed ^ index)."""
-    entries = json.loads(Path(path).read_text())
-    configs = []
-    for i, entry in enumerate(entries):
-        configs.append(
+    """Run a JSON array of run configs in order, one after another (`jobs` is
+    accepted and ignored); per-instance seeds are derived by
+    splitmix64(master_seed ^ index).  A malformed suite file raises BadSpec."""
+    try:
+        entries = json.loads(Path(path).read_text())
+        if not isinstance(entries, list):
+            raise TypeError("a suite file holds a JSON array of run configs")
+        configs = [
             RunConfig(
                 group_path=str(Path(path).parent / entry["group"]),
                 hidden=entry["hidden"],
@@ -207,9 +210,11 @@ def run_suite(path: Path, master_seed: int, jobs: int = 4) -> tuple[int, list[di
                 seed=splitmix64(master_seed ^ i),
                 verify=bool(entry.get("verify", True)),
             )
-        )
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(run, configs))
+            for i, entry in enumerate(entries)
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise BadSpec(f"malformed suite file {path}: {type(exc).__name__}: {exc}") from exc
+    outcomes = [run(c) for c in configs]
     worst = max((code for code, _ in outcomes), default=0)
     return worst, [rep for _, rep in outcomes]
 
@@ -233,7 +238,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.suite:
-        code, reports = run_suite(Path(args.suite), args.seed)
+        try:
+            code, reports = run_suite(Path(args.suite), args.seed)
+        except BadSpec as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
         payload = json.dumps(reports, indent=2)
     else:
         if not args.group or args.hidden is None:

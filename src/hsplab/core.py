@@ -737,6 +737,28 @@ class HidingOracle:
         return self._label(g)
 
 
+class CosetLabelOracle:
+    """F: x -> sorted tuple of f-labels over x*C for a fixed enumerated C.
+
+    Hides the subgroup H*C when C is the commutator subgroup; one F-query
+    costs |C| queries to f, and one F-peek |C| peeks.
+    """
+
+    def __init__(self, G: BlackBoxGroup, f: HidingOracle, c_elements: Sequence[GroupElement]):
+        self.group = G
+        self.f = f
+        self.c_elements = list(c_elements)
+
+    def _label(self, g: GroupElement, probe) -> str:
+        return "|".join(sorted(probe(self.group.multiply(g, c)) for c in self.c_elements))
+
+    def eval(self, g: GroupElement) -> str:
+        return self._label(g, self.f.eval)
+
+    def peek(self, g: GroupElement) -> str:
+        return self._label(g, self.f.peek)
+
+
 def make_hiding_oracle(
     G: BlackBoxGroup,
     h_gens: Sequence[GroupElement],

@@ -17,15 +17,8 @@ from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, GroupView, enumerate_closure, HidingOracle
 from .errors import HspError, InvariantBroken, MemberUnverified, NotCommuting
-from .linalg import (
-    AbelianStructure,
-    CosetQuotientView,
-    LabelQuotientView,
-    QuotientView,
-    decompose_abelian,
-    hom_kernel,
-)
-from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
+from .linalg import AbelianStructure, CosetQuotientView, LabelQuotientView
+from .sim import QuantumFunctionOracle, SolverConfig, _kernel_provider, abelian_hsp, find_order
 
 
 @dataclass(frozen=True)
@@ -112,28 +105,8 @@ def _phi_oracle(
             x = view.multiply(x, table[a])
         return view.multiply(x, g_table[t[-1]])
 
-    def eval_fn(t):
-        return view.key(elem(t))
-
-    def peek_fn(t):
-        return view.hkey(elem(t))
-
-    def provider():
-        # Harness shortcut: decompose the Abelian subgroup generated by the
-        # images and solve the congruence kernel exactly.
-        images = list(h_list) + [g_inv]
-        dec = decompose_abelian(_HarnessView(view), images)
-        rows = [dec.tuple_of(x) for x in images]
-        return hom_kernel(structure.moduli, rows, dec.structure)
-
-    return QuantumFunctionOracle(structure, eval_fn, peek_fn, provider)
-
-
-class _HarnessView(QuotientView):
-    """Wrap a view so its equality goes through the harness-privileged key."""
-
-    def key(self, a) -> str:
-        return self.group.hkey(a)
+    images = list(h_list) + [g_inv]
+    return QuantumFunctionOracle(structure, view, elem, _kernel_provider(view, images, structure))
 
 
 def membership_view(
@@ -219,7 +192,7 @@ def _attempt(
     ]
     s = find_order(view, g, cfg.child("order-g"), order_bound=ambient_bounds[-1])
     oracle = _phi_oracle(view, h_list, g, orders, s)
-    kernel = abelian_hsp(oracle.structure, oracle, cfg.child("kernel"))
+    kernel = abelian_hsp(oracle, cfg.child("kernel"))
     expr = extract_expression(kernel, tuple(orders) + (s,))
     if expr is None:
         return NOT_MEMBER

@@ -1,6 +1,10 @@
 """Exact simulation of the quantum primitives: Fourier sampling over finite
 Abelian groups, the Abelian hidden-subgroup solver, and order finding.
 
+A `QuantumFunctionOracle` reads f through a view: its counted path is the
+view's key and its harness path the view's `hkey`, taken only here, so a
+solver hands over a view and an element map and never peeks itself.
+
 Two sampler backends produce uniform draws from H-perp:
 
 * ``ideal`` determines the hidden subgroup on the harness side (by label
@@ -32,7 +36,10 @@ from .errors import (
 from .linalg import (
     AbelianStructure,
     CharacterVector,
+    QuotientView,
+    decompose_abelian,
     dual_subgroup,
+    hom_kernel,
     solve_character_kernel,
     subgroup_elements,
     subgroup_order,
@@ -107,10 +114,11 @@ class SolverConfig:
 
 
 class QuantumFunctionOracle:
-    """Counted function from domain tuples to opaque labels.
+    """The function t -> elem(t) over an Abelian structure, labelled by a view.
 
-    Equal labels stand for equal (coset) states; distinct labels stand for
-    orthogonal states.  ``peek`` is the harness-privileged path, and
+    ``eval`` is the counted path, the view's key; ``peek`` is the
+    harness-privileged path, the view's hkey.  Equal labels stand for equal
+    (coset) states; distinct labels stand for orthogonal states.
     ``subgroup_provider`` (when set) lets the harness determine the hidden
     subgroup without a full collision sweep.
     """
@@ -118,25 +126,21 @@ class QuantumFunctionOracle:
     def __init__(
         self,
         structure: AbelianStructure,
-        eval_fn: Callable[[tuple], str],
-        peek_fn: Optional[Callable[[tuple], str]] = None,
+        view: GroupView,
+        elem: Callable[[tuple], object],
         subgroup_provider: Optional[Callable[[], list[tuple]]] = None,
     ):
         self.structure = structure
-        self._eval = eval_fn
-        self._peek = peek_fn or eval_fn
-        self.query_count = 0
-        self.harness_queries = 0
+        self._view = view
+        self._elem = elem
         self._provider = subgroup_provider
         self._ideal_cache: Optional[dict] = None
 
     def eval(self, t: Sequence[int]) -> str:
-        self.query_count += 1
-        return self._eval(self.structure.reduce(t))
+        return self._view.key(self._elem(self.structure.reduce(t)))
 
     def peek(self, t: Sequence[int]) -> str:
-        self.harness_queries += 1
-        return self._peek(self.structure.reduce(t))
+        return self._view.hkey(self._elem(self.structure.reduce(t)))
 
     def hidden_subgroup_gens(self) -> list[tuple]:
         """Harness-side determination of the hidden subgroup's generators."""
@@ -168,31 +172,23 @@ def _ideal_state(f: QuantumFunctionOracle) -> dict:
     return f._ideal_cache
 
 
-def sample_character(
-    structure: AbelianStructure,
-    f: QuantumFunctionOracle,
-    backend: str = "ideal",
-    rng: Optional[RngStream] = None,
-) -> CharacterVector:
+def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> CharacterVector:
     """One Fourier-sampling round: a character drawn uniformly from H-perp."""
-    rng = rng or RngStream(0)
     if backend == "ideal":
         state = _ideal_state(f)
         perp = state["perp"]
         draw = perp[rng.randrange(len(perp))]
         # sanity: the draw annihilates the hidden subgroup it was derived from
-        if any(structure.pairing(draw, h) for h in state["h_gens"]):
+        if any(f.structure.pairing(draw, h) for h in state["h_gens"]):
             raise InvariantBroken(f"character {draw} does not annihilate the hidden subgroup")
         return CharacterVector(tuple(draw))
     if backend == "statevector":
-        return _statevector_sample(structure, f, rng)
+        return _statevector_sample(f, rng)
     raise HspError(f"unknown sampler backend {backend!r}")
 
 
-def _statevector_sample(
-    structure: AbelianStructure, f: QuantumFunctionOracle, rng: RngStream
-) -> CharacterVector:
-    A = structure
+def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> CharacterVector:
+    A = f.structure
     if A.order > STATEVECTOR_CAP:
         raise TooLarge(f"statevector cap {STATEVECTOR_CAP} exceeded by |A| = {A.order}")
     if not A.moduli:
@@ -235,17 +231,14 @@ def annihilates(structure: AbelianStructure, c: Sequence[int], x: Sequence[int])
     return structure.pairing(c, x) == 0
 
 
-def abelian_hsp(
-    structure: AbelianStructure,
-    f: QuantumFunctionOracle,
-    cfg: SolverConfig,
-) -> list[tuple[int, ...]]:
+def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, ...]]:
     """Generators of the subgroup hidden by f, failure probability <= epsilon.
 
     Draws characters and maintains the joint kernel; stops once the kernel is
     unchanged for ceil(log2(1/epsilon)) consecutive rounds (each fresh uniform
     draw halves a strictly-too-large kernel with probability >= 1/2).
     """
+    structure = f.structure
     if not structure.moduli or structure.order == 1:
         return []
     rng = cfg.rng
@@ -258,7 +251,7 @@ def abelian_hsp(
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
-        c = sample_character(structure, f, cfg.backend, rng)
+        c = sample_character(f, cfg.backend, rng)
         samples.append(tuple(c.coeffs))
         current = (
             kernel_gens
@@ -301,7 +294,6 @@ def order_from_multiple(view: GroupView, g, m: int) -> int:
 
 def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
     """Oracle k -> label(g^k) over Z_m, with a harness order provider."""
-    structure = AbelianStructure((m,))
     cache: dict[int, object] = {}
 
     def elem(t):
@@ -310,17 +302,31 @@ def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
             cache[k] = view.power(g, k)
         return cache[k]
 
-    def eval_fn(t):
-        return view.key(elem(t))
-
-    def peek_fn(t):
-        return view.hkey(elem(t))
-
     def provider():
         d = order_from_multiple(view, g, m)
         return [(d % m,)] if d < m else []
 
-    return QuantumFunctionOracle(structure, eval_fn, peek_fn, provider)
+    return QuantumFunctionOracle(AbelianStructure((m,)), view, elem, provider)
+
+
+class _HarnessView(QuotientView):
+    """A view whose equality is the wrapped view's harness-privileged key."""
+
+    def key(self, a) -> str:
+        return self.group.hkey(a)
+
+
+def _kernel_provider(view: GroupView, images: Sequence, structure: AbelianStructure) -> Callable:
+    """Harness provider for the kernel of t -> prod images_i^t_i over
+    `structure`: decompose the Abelian group the images generate at the
+    view's harness key and solve the congruence kernel exactly."""
+
+    def provider():
+        dec = decompose_abelian(_HarnessView(view), images)
+        rows = [dec.tuple_of(x) for x in images]
+        return hom_kernel(structure.moduli, rows, dec.structure)
+
+    return provider
 
 
 def find_order(
@@ -344,7 +350,7 @@ def find_order(
     if m == 1:
         return 1
     oracle = cyclic_power_oracle(view, g, m)
-    gens = abelian_hsp(AbelianStructure((m,)), oracle, cfg)
+    gens = abelian_hsp(oracle, cfg)
     d = m
     for t in gens:
         d = gcd(d, t[0])

@@ -4,7 +4,9 @@ elementary Abelian normal 2-subgroup with small or cyclic quotient.
 Query accounting: with the ideal sampler, quantum rounds are simulated on the
 harness side and exempt from solver accounting; the f-queries counted against
 the budgets below are the classical-control queries the solver itself issues
-(enumeration scans, baseline labels, label-keyed quotient arithmetic).
+(enumeration scans, baseline labels, label-keyed quotient arithmetic).  The
+solvers hand `sim` views (a `LabelQuotientView` of f, the group, a quotient)
+and element maps; only `sim` derives the harness path from a view.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import (
     BlackBoxGroup,
+    CosetLabelOracle,
     GroupElement,
     HidingOracle,
     QueryStats,
@@ -35,6 +38,7 @@ from .linalg import (
     AbelianDecomposition,
     AbelianStructure,
     CosetQuotientView,
+    LabelQuotientView,
     decompose_abelian,
     view_closure,
 )
@@ -55,32 +59,6 @@ class SubgroupResult:
 class CosetPick:
     z: GroupElement
     u: Optional[GroupElement] = None  # element of N with u^-1 z in H
-
-
-class CosetLabelOracle:
-    """F: x -> sorted tuple of f-labels over x*C for a fixed enumerated C.
-
-    Hides the subgroup H*C when C is the commutator subgroup; one F-query
-    costs |C| queries to f.
-    """
-
-    def __init__(self, G: BlackBoxGroup, f: HidingOracle, c_elements: Sequence[GroupElement]):
-        self.group = G
-        self.f = f
-        self.c_elements = list(c_elements)
-        self.query_count = 0
-        self.harness_queries = 0
-
-    def _label(self, g: GroupElement, probe) -> str:
-        return "|".join(sorted(probe(self.group.multiply(g, c)) for c in self.c_elements))
-
-    def eval(self, g: GroupElement) -> str:
-        self.query_count += 1
-        return self._label(g, self.f.eval)
-
-    def peek(self, g: GroupElement) -> str:
-        self.harness_queries += 1
-        return self._label(g, self.f.peek)
 
 
 def commutator_query_budget(c: int, L: float, epsilon: float) -> int:
@@ -205,14 +183,8 @@ def intersect_with_normal(
     dec: AbelianDecomposition, f: HidingOracle, cfg: SolverConfig
 ) -> list[GroupElement]:
     """Generators of H on N via the Abelian HSP over N's decomposition."""
-    structure = dec.structure
-    oracle = QuantumFunctionOracle(
-        structure,
-        lambda t: f.eval(dec.element_of(t)),
-        lambda t: f.peek(dec.element_of(t)),
-    )
-    gens = abelian_hsp(structure, oracle, cfg)
-    return [dec.element_of(t) for t in gens]
+    oracle = QuantumFunctionOracle(dec.structure, LabelQuotientView(f.group, f), dec.element_of)
+    return [dec.element_of(t) for t in abelian_hsp(oracle, cfg)]
 
 
 def coset_intersection_pick(
@@ -231,10 +203,8 @@ def coset_intersection_pick(
         x = dec.element_of(t[1:])
         return x if t[0] == 0 else G.multiply(x, z)
 
-    oracle = QuantumFunctionOracle(
-        structure, lambda t: f.eval(elem(t)), lambda t: f.peek(elem(t))
-    )
-    gens = abelian_hsp(structure, oracle, cfg)
+    view = LabelQuotientView(G, f)
+    gens = abelian_hsp(QuantumFunctionOracle(structure, view, elem), cfg)
     u = None
     for t in gens:
         if t[0] == 1:
@@ -244,25 +214,9 @@ def coset_intersection_pick(
         pick = G.multiply(G.invert(u), z)
         if f.eval(pick) != f.eval(G.identity()):
             # failed sampling round (probability <= epsilon); retry once
-            oracle2 = QuantumFunctionOracle(
-                structure, lambda t: f.eval(elem(t)), lambda t: f.peek(elem(t))
-            )
-            gens = abelian_hsp(structure, oracle2, cfg.child("retry"))
+            gens = abelian_hsp(QuantumFunctionOracle(structure, view, elem), cfg.child("retry"))
             u = next((dec.element_of(t[1:]) for t in gens if t[0] == 1), None)
     return CosetPick(z, u)
-
-
-def _assemble(
-    G: BlackBoxGroup,
-    f: HidingOracle,
-    picks: list[CosetPick],
-    h_cap_n: list[GroupElement],
-) -> list[GroupElement]:
-    gens = []
-    for cp in picks:
-        if cp.u is not None:
-            gens.append(G.multiply(G.invert(cp.u), cp.z))
-    return gens + [x for x in h_cap_n if not G.is_identity(x)]
 
 
 def _solve_elem2(
@@ -286,7 +240,8 @@ def _solve_elem2(
         coset_intersection_pick(G, dec, f, z, cfg.child("pick"))
         for z in reps[1:]
     ]
-    gens = _assemble(G, f, picks, h_cap_n)
+    gens = [G.multiply(G.invert(cp.u), cp.z) for cp in picks if cp.u is not None]
+    gens += [x for x in h_cap_n if not G.is_identity(x)]
     budget = elem2_query_budget(len(reps), len(n_elements), cfg.epsilon)
     used = f.query_count - f_start
     if used > budget:

@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
 
-from hsplab.core import BlackBoxGroup, GroupElement, GroupSpec, make_group
+from hsplab.core import BlackBoxGroup, GroupElement, GroupSpec, GroupView, make_group
+from hsplab.sim import QuantumFunctionOracle
 
 
 def _q8_mul(a, b):
@@ -86,6 +87,21 @@ def s8_group() -> BlackBoxGroup:
             perms=[[1, 2, 3, 4, 5, 6, 7, 0], [1, 0, 2, 3, 4, 5, 6, 7]],
         )
     )
+
+
+class LabelView(GroupView):
+    """A view over plain tuples whose key is a given label function."""
+
+    def __init__(self, label):
+        self.label = label
+
+    def key(self, t) -> str:
+        return self.label(t)
+
+
+def label_oracle(structure, label) -> QuantumFunctionOracle:
+    """The oracle t -> label(t) over `structure`, for either path."""
+    return QuantumFunctionOracle(structure, LabelView(label), lambda t: t)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from hsplab.core import (
 from hsplab.cli import RunConfig, run
 from hsplab.linalg import AbelianStructure, dual_subgroup, subgroup_elements
 from hsplab.membership import constructive_membership
-from hsplab.sim import QuantumFunctionOracle, RngStream, SolverConfig, sample_character, splitmix64
+from hsplab.sim import RngStream, SolverConfig, sample_character, splitmix64
 from hsplab.solvers import (
     solve_abelian,
     solve_elem2_cyclic,
@@ -27,7 +27,7 @@ from hsplab.solvers import (
 from hsplab.normalsub import hidden_normal_subgroup
 from hsplab.verify import brute_force_hsp, chi_square_uniform, subgroup_key, subgroups_of
 
-from conftest import affine4_group, affine5_group, d16_group, q8_group, q8_minus_one
+from conftest import affine4_group, affine5_group, d16_group, label_oracle, q8_group, q8_minus_one
 
 MASTER_SEED = 0xACCE97
 RECORDS: dict[str, dict] = {}
@@ -94,11 +94,11 @@ def test_criterion_2_sampler_fidelity():
     bad = 0
     p_values = {}
     for backend, seed in [("ideal", 101), ("statevector", 102)]:
-        f = QuantumFunctionOracle(A, label)
+        f = label_oracle(A, label)
         rng = RngStream(splitmix64(MASTER_SEED ^ seed))
         draws = []
         for _ in range(10_000):
-            c = tuple(sample_character(A, f, backend, rng).coeffs)
+            c = tuple(sample_character(f, backend, rng).coeffs)
             draws.append(c)
             for h in H:
                 if A.pairing(c, h) != 0:

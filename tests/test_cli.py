@@ -134,6 +134,29 @@ def test_suite_mode(group_dir):
     assert [_strip_times(r) for r in reports] == [_strip_times(r) for r in reports2]
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[{"hidden": "01000"}]',
+        "not json",
+        '[{"group": "z46.grp", "hidden": "01000", "epsilon": 0.9}]',
+        '[{"group": "z46.grp", "hidden": "01000", "epsilon": "x"}]',
+        '{"group": "z46.grp", "hidden": "01000"}',
+        '[{"group": "z46.grp", "hidden": 5}]',
+        None,
+    ],
+    ids=["no-group", "not-json", "epsilon-range", "epsilon-text", "object", "hidden-int", "missing"],
+)
+def test_malformed_suite_exits_3(group_dir, capsys, text):
+    path = group_dir / "suite.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(BadSpec):
+        run_suite(path, master_seed=1)
+    assert main(["--suite", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_main_writes_report(group_dir, capsys):
     out = group_dir / "report.json"
     code = main(

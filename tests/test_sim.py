@@ -1,12 +1,21 @@
 """Fourier sampling backends, the Abelian hidden-subgroup loop, order finding."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+import hsplab
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import NoOrderBound, TooLarge
-from hsplab.linalg import AbelianStructure, CosetQuotientView, subgroup_elements
+from hsplab.linalg import (
+    AbelianStructure,
+    CosetQuotientView,
+    LabelQuotientView,
+    decompose_abelian,
+    subgroup_elements,
+)
 from hsplab.sim import (
     QuantumFunctionOracle,
     RngStream,
@@ -18,7 +27,7 @@ from hsplab.sim import (
 )
 from hsplab.verify import chi_square_uniform
 
-from conftest import affine4_group
+from conftest import affine4_group, label_oracle
 
 
 def _coset_oracle(structure, h_gens):
@@ -27,7 +36,7 @@ def _coset_oracle(structure, h_gens):
     def label(t):
         return str(min(structure.add(t, h) for h in H))
 
-    return QuantumFunctionOracle(structure, label)
+    return label_oracle(structure, label)
 
 
 @pytest.mark.parametrize("backend", ["ideal", "statevector"])
@@ -37,7 +46,7 @@ def test_sample_character_z4(backend):
     rng = RngStream(11)
     counts = {(0,): 0, (2,): 0}
     for _ in range(400):
-        c = tuple(sample_character(A, f, backend, rng).coeffs)
+        c = tuple(sample_character(f, backend, rng).coeffs)
         counts[c] += 1
     assert counts[(0,)] > 100 and counts[(2,)] > 100
 
@@ -45,10 +54,10 @@ def test_sample_character_z4(backend):
 @pytest.mark.parametrize("backend", ["ideal", "statevector"])
 def test_sample_character_constant_oracle(backend):
     A = AbelianStructure((4,))
-    f = QuantumFunctionOracle(A, lambda t: "same")
+    f = label_oracle(A, lambda t: "same")
     rng = RngStream(5)
     for _ in range(50):
-        assert tuple(sample_character(A, f, backend, rng).coeffs) == (0,)
+        assert tuple(sample_character(f, backend, rng).coeffs) == (0,)
 
 
 @pytest.mark.parametrize("backend", ["ideal", "statevector"])
@@ -58,7 +67,7 @@ def test_sample_character_z2z2_diagonal(backend):
     rng = RngStream(21)
     seen = set()
     for _ in range(200):
-        c = tuple(sample_character(A, f, backend, rng).coeffs)
+        c = tuple(sample_character(f, backend, rng).coeffs)
         assert c in {(0, 0), (1, 1)}
         seen.add(c)
     assert seen == {(0, 0), (1, 1)}
@@ -66,9 +75,9 @@ def test_sample_character_z2z2_diagonal(backend):
 
 def test_statevector_cap():
     A = AbelianStructure((2,) * 17)
-    f = QuantumFunctionOracle(A, lambda t: "x")
+    f = label_oracle(A, lambda t: "x")
     with pytest.raises(TooLarge):
-        sample_character(A, f, "statevector", RngStream(0))
+        sample_character(f, "statevector", RngStream(0))
 
 
 def test_backend_agreement_chi_square():
@@ -78,7 +87,7 @@ def test_backend_agreement_chi_square():
     for backend, seed in [("ideal", 3), ("statevector", 4)]:
         f = _coset_oracle(A, [(2, 1)])
         rng = RngStream(seed)
-        draws = [tuple(sample_character(A, f, backend, rng).coeffs) for _ in range(2000)]
+        draws = [tuple(sample_character(f, backend, rng).coeffs) for _ in range(2000)]
         assert set(draws) <= set(support)
         _, p = chi_square_uniform(draws, support)
         assert p > 1e-3
@@ -94,7 +103,7 @@ def test_abelian_hsp_examples(moduli, h_gens):
     A = AbelianStructure(moduli)
     f = _coset_oracle(A, h_gens)
     cfg = SolverConfig(epsilon=2.0**-20, seed=99)
-    out = abelian_hsp(A, f, cfg)
+    out = abelian_hsp(f, cfg)
     found = set(subgroup_elements(A, [list(t) for t in out]))
     zero_label = f.peek(A.zero())
     expected = {t for t in A.elements() if f.peek(t) == zero_label}
@@ -103,9 +112,67 @@ def test_abelian_hsp_examples(moduli, h_gens):
 
 def test_abelian_hsp_injective_oracle():
     A = AbelianStructure((4, 6))
-    f = QuantumFunctionOracle(A, str)
+    f = label_oracle(A, str)
     cfg = SolverConfig(epsilon=2.0**-20, seed=7)
-    assert abelian_hsp(A, f, cfg) == []
+    assert abelian_hsp(f, cfg) == []
+
+
+def test_label_view_oracle_counts_each_path_once():
+    """Over a LabelQuotientView of f, eval is one counted f-query and peek
+    one harness query, and both read the label of the mapped element."""
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    h_gens = [GroupElement(G.backend.encode((2, 3)))]
+    f = make_hiding_oracle(G, h_gens, seed=3)
+    reference = make_hiding_oracle(G, h_gens, seed=3)
+    dec = decompose_abelian(G, G.generators)
+    oracle = QuantumFunctionOracle(dec.structure, LabelQuotientView(G, f), dec.element_of)
+    for t in dec.structure.elements():
+        queries, peeks = f.query_count, f.harness_queries
+        label = reference.eval(dec.element_of(t))
+        assert oracle.eval(t) == label
+        assert (f.query_count, f.harness_queries) == (queries + 1, peeks)
+        assert oracle.peek(t) == label
+        assert (f.query_count, f.harness_queries) == (queries + 1, peeks + 1)
+
+
+def _source_names(path: Path):
+    """Every attribute, function, class, variable and imported name in a module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.arg):
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+
+
+SRC = Path(hsplab.__file__).parent
+
+
+@pytest.mark.parametrize("module", ["solvers.py", "membership.py", "normalsub.py"])
+def test_solver_code_never_names_the_harness_path(module):
+    found = [
+        name
+        for name in _source_names(SRC / module)
+        if name in ("peek", "hkey") or "Harness" in name
+    ]
+    assert found == []
+
+
+def test_privileged_keys_are_read_only_in_the_harness_layers():
+    harness_layers = {"core", "linalg", "sim", "verify"}
+    readers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if {"peek", "hkey"} & set(_source_names(path))
+    }
+    assert readers <= harness_layers
 
 
 def test_find_order_basic(s8):
