@@ -39,6 +39,7 @@ from .verify import brute_force_hsp, subgroup_key
 REPORT_SCHEMA_VERSION = 1
 AUTO_COMMUTATOR_BOUND = 64
 AUTO_QUOTIENT_BOUND = 256
+SOLVERS = ("auto", "abelian", "commutator", "elem2-small", "elem2-cyclic", "normal")
 
 
 @dataclass
@@ -55,6 +56,8 @@ class RunConfig:
             raise BadSpec(f"epsilon must be in (0, 1/2), got {self.epsilon}")
         if not isinstance(self.hidden, str):
             raise BadSpec(f"hidden must be a string, got {self.hidden!r}")
+        if self.solver not in SOLVERS:
+            raise BadSpec(f"unknown solver {self.solver!r}, expected one of {', '.join(SOLVERS)}")
 
 
 def parse_hidden(G: BlackBoxGroup, text: str, base_dir: Path) -> list[GroupElement]:
@@ -228,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--solver",
         default="auto",
-        choices=["auto", "abelian", "commutator", "elem2-small", "elem2-cyclic", "normal"],
+        choices=SOLVERS,
     )
     parser.add_argument("--epsilon", type=float, default=2.0**-10)
     parser.add_argument("--seed", type=int, default=0)

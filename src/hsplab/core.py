@@ -1,16 +1,19 @@
 """Black-box group model: element encodings, oracle bundles, concrete backends.
 
-Elements are fixed-length bitstrings.  All semantic access goes through the
-owning group's oracles; equality is decided by the group's key, never by the
-caller comparing raw bits.  A black-box group's encodings are unique, so its
-key is the bitstring; the quotient views of linalg have non-unique encodings
-and keys of their own.
+Elements are fixed-length bit encodings, carried as an int and a length;
+bitstrings and length:hex tokens are their spelling at input and output.
+All semantic access goes through the owning group's oracles; equality is
+decided by the group's key, never by the caller comparing raw bits.  A
+black-box group's encodings are unique, so its key is the encoding's int:
+for one length, int order is bitstring order, so a least key over a coset
+picks the element the least bitstring would.  The quotient views of linalg
+have non-unique encodings and keys of their own.
 
 Whether a bitstring encodes a group element is decided in one place,
 `Backend.validate`, where encodings enter: a group's generators, the affine
 spec's block, the CLI's --hidden tokens and a hiding oracle's hidden
 generators.  Every other element is a product of those, so the backends'
-multiply and invert trust their operands and only parse them.
+multiply and invert trust their operands and compute on their ints.
 """
 
 from __future__ import annotations
@@ -42,19 +45,36 @@ def enum_bound() -> int:
     return bound
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """A group element carried as a fixed-length bitstring encoding."""
+    """A group element: a fixed-length encoding, carried as the int `value`
+    of its `length` bits (first bit most significant).
 
-    bits: str
+    `GroupElement(bits)` and `from_hex` check their input; backend products
+    come through `_element`, which trusts its value.  Elements are immutable
+    and equal exactly when their encodings are.
+    """
 
-    def __post_init__(self):
-        if not self.bits or set(self.bits) - {"0", "1"}:
-            raise InvalidEncoding(f"not a bitstring: {self.bits!r}")
+    __slots__ = ("value", "length")
+
+    def __init__(self, bits: str):
+        if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
+            raise InvalidEncoding(f"not a bitstring: {bits!r}")
+        _set_value(self, int(bits, 2))
+        _set_length(self, len(bits))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __reduce__(self):
+        return _element, (self.value, self.length)
+
+    @property
+    def bits(self) -> str:
+        return format(self.value, f"0{self.length}b")
 
     @property
     def hex(self) -> str:
-        return f"{len(self.bits)}:{int(self.bits, 2):x}"
+        return f"{self.length}:{self.value:x}"
 
     @classmethod
     def from_hex(cls, text: str) -> "GroupElement":
@@ -65,10 +85,30 @@ class GroupElement:
             raise InvalidEncoding(f"not a length:hex token: {text!r}") from None
         if not 0 < width <= MAX_ENCODING_BITS or value < 0 or value.bit_length() > width:
             raise InvalidEncoding(f"hex value does not fit its length: {text!r}")
-        return cls(format(value, f"0{width}b"))
+        return _element(value, width)
+
+    def __eq__(self, other):
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.value == other.value and self.length == other.length
+
+    def __hash__(self):
+        return hash((self.value, self.length))
 
     def __repr__(self):
         return f"GroupElement({self.bits})"
+
+
+_set_value, _set_length = GroupElement.value.__set__, GroupElement.length.__set__
+_new = object.__new__
+
+
+def _element(value: int, length: int) -> GroupElement:
+    """The element of a trusted encoding, built without the bitstring check."""
+    g = _new(GroupElement)
+    _set_value(g, value)
+    _set_length(g, length)
+    return g
 
 
 @dataclass
@@ -85,9 +125,9 @@ def _coset_keys(members: Sequence, multiply: Callable, key: Callable, label=None
     its members, cached per element under key(x).  `label`, when given, maps
     the least key to the value cached and returned."""
     members = list(members)
-    cache: dict[str, str] = {}
+    cache: dict = {}
 
-    def coset_key(x) -> str:
+    def coset_key(x):
         kx = key(x)
         found = cache.get(kx)
         if found is None:
@@ -104,33 +144,44 @@ def _chunk_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _split(bits: str, width: int) -> list[int]:
-    return [int(bits[i : i + width], 2) for i in range(0, len(bits), width)]
-
-
-def _join(values: Iterable[int], width: int) -> str:
-    return "".join(format(v, f"0{width}b") for v in values)
-
-
 class Backend:
     """Concrete realization of the multiply/invert/identity oracles.
 
-    `decode` only parses, and `mul_bits`/`inv_bits` trust their operands:
-    membership is decided once, by `validate`, where an encoding enters.
+    An encoding of `n` bits is the int it spells; `unpack` splits it into the
+    backend's fields and `pack` joins them, by default as fields of `widths`
+    bits, the first most significant.  `decode`/`encode` are the same layout
+    on bitstrings.  `mul`/`inv` trust their operands: membership is decided
+    once, by `validate`, where an encoding enters.
     """
 
     kind: str
     n: int
+    identity: int  # the identity's encoding
     order_hint: Optional[int] = None
 
-    def identity_bits(self) -> str:
-        raise NotImplementedError
+    def _set_widths(self, widths: Sequence[int]) -> None:
+        self.widths = list(widths)
+        self.n = sum(widths)
+        shifts = [sum(widths[i + 1 :]) for i in range(len(widths))]
+        self._layout = [(s, (1 << w) - 1) for s, w in zip(shifts, widths)]
+
+    def unpack(self, value: int):
+        return [value >> s & mask for s, mask in self._layout]
+
+    def pack(self, fields: Iterable[int]) -> int:
+        out = 0
+        for w, x in zip(self.widths, fields):
+            out = out << w | x
+        return out
 
     def decode(self, bits: str):
-        raise NotImplementedError
+        return self.unpack(int(bits, 2))
 
-    def _is_element(self, decoded) -> bool:
-        """Whether a parsed encoding of the right length is a group element."""
+    def encode(self, *fields) -> str:
+        return format(self.pack(*fields), f"0{self.n}b")
+
+    def _is_element(self, fields) -> bool:
+        """Whether the fields of an encoding of the right length are a group element."""
         return True
 
     def validate(self, bits: str) -> None:
@@ -138,10 +189,10 @@ class Backend:
         if len(bits) != self.n or set(bits) - {"0", "1"} or not self._is_element(self.decode(bits)):
             raise InvalidEncoding(f"not a {self.kind} element: {bits!r}")
 
-    def mul_bits(self, a: str, b: str) -> str:
+    def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def inv_bits(self, a: str) -> str:
+    def inv(self, a: int) -> int:
         raise NotImplementedError
 
 
@@ -155,31 +206,30 @@ class PermutationBackend(Backend):
             raise BadSpec(f"unsupported permutation degree {degree}")
         self.degree = degree
         self.width = _chunk_width(degree)
-        self.n = degree * self.width
+        self._set_widths([self.width] * degree)
+        self._shifts = [s for s, _ in self._layout]
+        self._mask = (1 << self.width) - 1
+        self.identity = self.pack(range(degree))
         self.order_hint = factorial(degree)
-
-    def decode(self, bits: str) -> list[int]:
-        return _split(bits, self.width)
 
     def _is_element(self, images: list[int]) -> bool:
         return sorted(images) == list(range(self.degree))
 
-    def encode(self, images: Sequence[int]) -> str:
-        return _join(images, self.width)
+    def mul(self, a: int, b: int) -> int:
+        """Field x of a*b is field (field x of b) of a."""
+        width, mask, shifts = self.width, self._mask, self._shifts
+        out = 0
+        for s in shifts:
+            out = out << width | a >> shifts[b >> s & mask] & mask
+        return out
 
-    def identity_bits(self) -> str:
-        return self.encode(range(self.degree))
-
-    def mul_bits(self, a: str, b: str) -> str:
-        pa, pb = self.decode(a), self.decode(b)
-        return self.encode([pa[x] for x in pb])
-
-    def inv_bits(self, a: str) -> str:
-        pa = self.decode(a)
-        out = [0] * self.degree
-        for i, x in enumerate(pa):
-            out[x] = i
-        return self.encode(out)
+    def inv(self, a: int) -> int:
+        """Field (field i of a) of the inverse is i."""
+        mask, shifts = self._mask, self._shifts
+        out = 0
+        for i, s in enumerate(shifts):
+            out |= i << shifts[a >> s & mask]
+        return out
 
 
 class Gf2MatrixBackend(Backend):
@@ -191,62 +241,46 @@ class Gf2MatrixBackend(Backend):
         if dim < 1 or dim > 12:
             raise BadSpec(f"unsupported GF(2) matrix dimension {dim}")
         self.dim = dim
-        self.n = dim * dim
+        self._set_widths([dim] * dim)
+        self._row_mask = (1 << dim) - 1
+        self._ones = sum(1 << (dim * i) for i in range(dim))  # bit 0 of every row
+        self.identity = self.pack(1 << (dim - 1 - i) for i in range(dim))
         self.order_hint = prod(2**dim - 2**i for i in range(dim))
 
-    def decode(self, bits: str) -> list[int]:
-        return [int(bits[i * self.dim : (i + 1) * self.dim], 2) for i in range(self.dim)]
-
-    def encode(self, rows: Sequence[int]) -> str:
-        return "".join(format(r, f"0{self.dim}b") for r in rows)
+    def _inverse_rows(self, rows: Sequence[int]) -> Optional[list[int]]:
+        """The rows of the inverse, by Gauss-Jordan elimination on [rows | I];
+        None when the matrix is singular."""
+        dim = self.dim
+        work = [r << dim | 1 << (dim - 1 - i) for i, r in enumerate(rows)]
+        for rank in range(dim):
+            bit = 1 << (2 * dim - 1 - rank)
+            for i in range(rank, dim):
+                if work[i] & bit:
+                    break
+            else:
+                return None
+            pivot = work[i]
+            work[i] = work[rank]
+            work = [r ^ pivot if r & bit else r for r in work]
+            work[rank] = pivot
+        return [r & self._row_mask for r in work]
 
     def _is_element(self, rows: Sequence[int]) -> bool:
-        """Invertibility, by Gaussian elimination."""
-        work = list(rows)
-        rank = 0
-        for col in range(self.dim - 1, -1, -1):
-            pivot = next((i for i in range(rank, self.dim) if work[i] >> col & 1), None)
-            if pivot is None:
-                return False
-            work[rank], work[pivot] = work[pivot], work[rank]
-            for i in range(self.dim):
-                if i != rank and work[i] >> col & 1:
-                    work[i] ^= work[rank]
-            rank += 1
-        return True
+        return self._inverse_rows(rows) is not None
 
-    def identity_bits(self) -> str:
-        return self.encode([1 << (self.dim - 1 - i) for i in range(self.dim)])
-
-    def _mul_rows(self, ra: Sequence[int], rb: Sequence[int]) -> list[int]:
-        out = []
-        for row in ra:
-            acc = 0
-            for col in range(self.dim):
-                if row >> (self.dim - 1 - col) & 1:
-                    acc ^= rb[col]
-            out.append(acc)
+    def mul(self, a: int, b: int) -> int:
+        """Row i of a*b is the XOR of the rows of b that row i of a picks.
+        Bit j of every row of a, one bit per row field, times the row of b
+        that bit j picks puts that row into each field whose bit j is set;
+        each copy fits its field, so nothing carries."""
+        dim, ones, row = self.dim, self._ones, self._row_mask
+        out = 0
+        for j in range(dim):
+            out ^= (a >> j & ones) * (b >> dim * j & row)
         return out
 
-    def mul_bits(self, a: str, b: str) -> str:
-        return self.encode(self._mul_rows(self.decode(a), self.decode(b)))
-
-    def inv_bits(self, a: str) -> str:
-        rows = self.decode(a)
-        dim = self.dim
-        inv = [1 << (dim - 1 - i) for i in range(dim)]
-        work = list(rows)
-        rank = 0
-        for col in range(dim - 1, -1, -1):
-            pivot = next(i for i in range(rank, dim) if work[i] >> col & 1)
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv[rank], inv[pivot] = inv[pivot], inv[rank]
-            for i in range(dim):
-                if i != rank and work[i] >> col & 1:
-                    work[i] ^= work[rank]
-                    inv[i] ^= inv[rank]
-            rank += 1
-        return self.encode(inv)
+    def inv(self, a: int) -> int:
+        return self.pack(self._inverse_rows(self.unpack(a)))
 
 
 class AffineGf2Backend(Gf2MatrixBackend):
@@ -265,7 +299,10 @@ class AffineGf2Backend(Gf2MatrixBackend):
 
 
 class WreathBackend(Backend):
-    """Wreath product of the elementary Abelian 2-group of rank k with a swap."""
+    """Wreath product of the elementary Abelian 2-group of rank k with a swap.
+
+    An element (v, w, s) is encoded as v, then w (k bits each), then the swap
+    bit s."""
 
     kind = "wreath"
 
@@ -274,54 +311,38 @@ class WreathBackend(Backend):
             raise BadSpec(f"unsupported wreath rank k={k}")
         self.k = k
         self.n = 2 * k + 1
+        self._mask = (1 << k) - 1
+        self.identity = 0
         self.order_hint = 2 ** (2 * k + 1)
 
-    def decode(self, bits: str) -> tuple[int, int, int]:
+    def unpack(self, value: int) -> tuple[int, int, int]:
+        return value >> (self.k + 1), value >> 1 & self._mask, value & 1
+
+    def pack(self, v: int, w: int, s: int) -> int:
+        return v << (self.k + 1) | w << 1 | s
+
+    def _swap(self, a: int) -> int:
+        """a with its v and w exchanged."""
         k = self.k
-        return int(bits[:k], 2), int(bits[k : 2 * k], 2), int(bits[2 * k])
+        return (a >> 1 & self._mask) << (k + 1) | (a >> (k + 1)) << 1 | a & 1
 
-    def encode(self, v: int, w: int, s: int) -> str:
-        k = self.k
-        return format(v, f"0{k}b") + format(w, f"0{k}b") + str(s)
+    def mul(self, a: int, b: int) -> int:
+        """(v1, w1, s1)(v2, w2, s2) is the XOR of a with b, b's v and w
+        exchanged when s1 is set."""
+        return a ^ (self._swap(b) if a & 1 else b)
 
-    def identity_bits(self) -> str:
-        return self.encode(0, 0, 0)
-
-    def mul_bits(self, a: str, b: str) -> str:
-        v1, w1, s1 = self.decode(a)
-        v2, w2, s2 = self.decode(b)
-        if s1:
-            v2, w2 = w2, v2
-        return self.encode(v1 ^ v2, w1 ^ w2, s1 ^ s2)
-
-    def inv_bits(self, a: str) -> str:
-        v, w, s = self.decode(a)
-        if s:
-            v, w = w, v
-        return self.encode(v, w, s)
+    def inv(self, a: int) -> int:
+        return self._swap(a) if a & 1 else a
 
 
 class _MixedRadixBackend(Backend):
     """Coordinate tuples 0 <= v_i < moduli[i], each in a bit field of widths[i]."""
 
     moduli: Sequence[int]
-    widths: list[int]
-
-    def decode(self, bits: str) -> list[int]:
-        values, pos = [], 0
-        for width in self.widths:
-            values.append(int(bits[pos : pos + width], 2))
-            pos += width
-        return values
+    identity = 0
 
     def _is_element(self, values: list[int]) -> bool:
         return all(v < m for v, m in zip(values, self.moduli))
-
-    def encode(self, values: Sequence[int]) -> str:
-        return "".join(format(v, f"0{w}b") for v, w in zip(values, self.widths))
-
-    def identity_bits(self) -> str:
-        return self.encode([0] * len(self.widths))
 
 
 class ExtraSpecialBackend(_MixedRadixBackend):
@@ -330,7 +351,7 @@ class ExtraSpecialBackend(_MixedRadixBackend):
     variant "exponent-p": Heisenberg triples (a, b, c) over Z_p with
         (a,b,c)*(a',b',c') = (a+a', b+b', c+c'+a*b').
     variant "exponent-p2": pairs (a mod p^2, b mod p) with
-        (a,b)*(a',b') = (a + a'*(1+p)^b, b+b').
+        (a,b)*(a',b') = (a + a'*(1+p)^b, b+b'), where (1+p)^b = 1+b*p mod p^2.
     """
 
     kind = "extraspecial"
@@ -347,31 +368,32 @@ class ExtraSpecialBackend(_MixedRadixBackend):
         self.p = p
         self.variant = variant
         if variant == "exponent-p":
-            self.widths = [_chunk_width(p)] * 3
+            self._set_widths([_chunk_width(p)] * 3)
             self.moduli = [p, p, p]
         else:
-            self.widths = [_chunk_width(p * p), _chunk_width(p)]
+            self._set_widths([_chunk_width(p * p), _chunk_width(p)])
             self.moduli = [p * p, p]
-        self.n = sum(self.widths)
+        self._low = self.widths[-1]
+        self._mask = (1 << self._low) - 1
         self.order_hint = p**3
 
-    def mul_bits(self, a: str, b: str) -> str:
-        p = self.p
+    def mul(self, x: int, y: int) -> int:
+        p, low, mask = self.p, self._low, self._mask
         if self.variant == "exponent-p":
-            a1, b1, c1 = self.decode(a)
-            a2, b2, c2 = self.decode(b)
-            return self.encode([(a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p])
-        x1, y1 = self.decode(a)
-        x2, y2 = self.decode(b)
-        return self.encode([(x1 + x2 * pow(1 + p, y1, p * p)) % (p * p), (y1 + y2) % p])
+            a1, b1, c1 = x >> 2 * low, x >> low & mask, x & mask
+            a2, b2, c2 = y >> 2 * low, y >> low & mask, y & mask
+            return (a1 + a2) % p << 2 * low | (b1 + b2) % p << low | (c1 + c2 + a1 * b2) % p
+        a1, b1 = x >> low, x & mask
+        a2, b2 = y >> low, y & mask
+        return (a1 + a2 * (1 + b1 * p)) % (p * p) << low | (b1 + b2) % p
 
-    def inv_bits(self, a: str) -> str:
-        p = self.p
+    def inv(self, x: int) -> int:
+        p, low, mask = self.p, self._low, self._mask
         if self.variant == "exponent-p":
-            x, y, z = self.decode(a)
-            return self.encode([(-x) % p, (-y) % p, (x * y - z) % p])
-        x, y = self.decode(a)
-        return self.encode([(-x * pow(1 + p, -y % p, p * p)) % (p * p), (-y) % p])
+            a, b, c = x >> 2 * low, x >> low & mask, x & mask
+            return (-a) % p << 2 * low | (-b) % p << low | (a * b - c) % p
+        a, b = x >> low, x & mask
+        return (-a * (1 + (-b % p) * p)) % (p * p) << low | (-b) % p
 
 
 class AbelianBackend(_MixedRadixBackend):
@@ -385,20 +407,26 @@ class AbelianBackend(_MixedRadixBackend):
         if prod(moduli) > 2**20:
             raise BadSpec(f"abelian backend too large: {moduli}")
         self.moduli = tuple(moduli)
-        self.widths = [_chunk_width(m) for m in moduli]
-        self.n = sum(self.widths)
+        self._set_widths([_chunk_width(m) for m in moduli])
+        self._radix = [(s, mask, m) for (s, mask), m in zip(self._layout, self.moduli)]
         self.order_hint = prod(moduli)
 
-    def mul_bits(self, a: str, b: str) -> str:
-        va, vb = self.decode(a), self.decode(b)
-        return self.encode([(x + y) % m for x, y, m in zip(va, vb, self.moduli)])
+    def mul(self, a: int, b: int) -> int:
+        out = 0
+        for s, mask, m in self._radix:
+            out |= ((a >> s & mask) + (b >> s & mask)) % m << s
+        return out
 
-    def inv_bits(self, a: str) -> str:
-        return self.encode([(-x) % m for x, m in zip(self.decode(a), self.moduli)])
+    def inv(self, a: int) -> int:
+        out = 0
+        for s, mask, m in self._radix:
+            out |= -(a >> s & mask) % m << s
+        return out
 
 
 class ProductBackend(Backend):
-    """Direct product of arbitrary backends with concatenated encodings."""
+    """Direct product of arbitrary backends with concatenated encodings; the
+    fields are the parts' encodings."""
 
     kind = "product"
 
@@ -406,33 +434,19 @@ class ProductBackend(Backend):
         if not parts:
             raise BadSpec("empty product")
         self.parts = list(parts)
-        self.n = sum(p.n for p in parts)
+        self._set_widths([p.n for p in parts])
+        self.identity = self.pack(p.identity for p in parts)
         hints = [p.order_hint for p in parts]
         self.order_hint = prod(hints) if all(hints) else None
 
-    def decode(self, bits: str) -> list[str]:
-        """The parts' encodings."""
-        out, pos = [], 0
-        for part in self.parts:
-            out.append(bits[pos : pos + part.n])
-            pos += part.n
-        return out
+    def _is_element(self, values: list[int]) -> bool:
+        return all(p._is_element(p.unpack(v)) for p, v in zip(self.parts, values))
 
-    def identity_bits(self) -> str:
-        return "".join(p.identity_bits() for p in self.parts)
+    def mul(self, a: int, b: int) -> int:
+        return self.pack(p.mul(x, y) for p, x, y in zip(self.parts, self.unpack(a), self.unpack(b)))
 
-    def validate(self, bits: str) -> None:
-        super().validate(bits)
-        for part, piece in zip(self.parts, self.decode(bits)):
-            part.validate(piece)
-
-    def mul_bits(self, a: str, b: str) -> str:
-        return "".join(
-            p.mul_bits(x, y) for p, x, y in zip(self.parts, self.decode(a), self.decode(b))
-        )
-
-    def inv_bits(self, a: str) -> str:
-        return "".join(p.inv_bits(x) for p, x in zip(self.parts, self.decode(a)))
+    def inv(self, a: int) -> int:
+        return self.pack(p.inv(x) for p, x in zip(self.parts, self.unpack(a)))
 
 
 class GroupView:
@@ -453,10 +467,10 @@ class GroupView:
     def invert(self, a):
         raise NotImplementedError
 
-    def key(self, a) -> str:
+    def key(self, a):
         raise NotImplementedError
 
-    def hkey(self, a) -> str:
+    def hkey(self, a):
         """Harness-privileged key (default: same as key)."""
         return self.key(a)
 
@@ -497,7 +511,7 @@ class BlackBoxGroup(GroupView):
         self.backend = backend
         self.stats = QueryStats()
         self.meta = meta or {}
-        self._identity = GroupElement(backend.identity_bits())
+        self._identity = _element(backend.identity, backend.n)
         for bits in generator_bits:
             backend.validate(bits)
         self.generators = [GroupElement(b) for b in generator_bits] or [self._identity]
@@ -511,14 +525,16 @@ class BlackBoxGroup(GroupView):
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         self.stats.group_ops += 1
-        return GroupElement(self.backend.mul_bits(g.bits, h.bits))
+        backend = self.backend
+        return _element(backend.mul(g.value, h.value), backend.n)
 
     def invert(self, g: GroupElement) -> GroupElement:
         self.stats.group_ops += 1
-        return GroupElement(self.backend.inv_bits(g.bits))
+        backend = self.backend
+        return _element(backend.inv(g.value), backend.n)
 
-    def key(self, g: GroupElement) -> str:
-        return g.bits
+    def key(self, g: GroupElement) -> int:
+        return g.value
 
 
 @dataclass
@@ -588,8 +604,8 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
             raise BadSpec(f"block must be {spec.k} rows of {spec.k} bits")
         backend = AffineGf2Backend(spec.k)
         block_gen, trans_gens = _affine_generators(backend, spec.block, spec.translations or [])
-        identity = backend.identity_bits()
-        block_order = _order_of(block_gen, backend.mul_bits, lambda b: b == identity, 1 << 20)
+        block = int(block_gen, 2)
+        block_order = _order_of(block, backend.mul, lambda v: v == backend.identity, 1 << 20)
         meta = {
             "k": spec.k,
             "block_order": block_order,
@@ -627,8 +643,6 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
                 unit = [0] * len(spec.moduli)
                 unit[i] = 1
                 gens.append(backend.encode(unit))
-        if not gens:
-            gens = [backend.identity_bits()]
         return BlackBoxGroup(backend, gens, {"moduli": tuple(spec.moduli)})
 
     if spec.kind == "product":
@@ -637,7 +651,7 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
         groups = [make_group(p) for p in spec.parts]
         backend = ProductBackend([g.backend for g in groups])
         gens = []
-        ids = [g.backend.identity_bits() for g in groups]
+        ids = [g.identity().bits for g in groups]
         for i, g in enumerate(groups):
             for gen in g.generators:
                 pieces = list(ids)
@@ -707,8 +721,8 @@ class HidingOracle:
     """Counted oracle f, constant exactly on the left cosets of a hidden H.
 
     Labels are obfuscated canonical coset labels: the minimum canonical key
-    over g*H, passed through a keyed hash so solvers cannot read structure
-    out of them.  ``peek`` is harness-privileged and tallied separately.
+    over g*H, spelled as its bitstring and passed through a keyed hash so
+    solvers cannot read structure out of them.  ``peek`` is harness-privileged and tallied separately.
     """
 
     label_length = 128
@@ -719,10 +733,11 @@ class HidingOracle:
         self.harness_queries = 0
         seed_key = seed.to_bytes(16, "little", signed=False)
         digest_size = self.label_length // 8
+        spelled = f"0{G.backend.n}b"
 
-        def obfuscate(canonical: str) -> str:
+        def obfuscate(canonical: int) -> str:
             return hashlib.blake2b(
-                canonical.encode(), key=seed_key, digest_size=digest_size
+                format(canonical, spelled).encode(), key=seed_key, digest_size=digest_size
             ).hexdigest()
 
         self._label = _coset_keys(h_elements, G.multiply, G.key, obfuscate)

@@ -342,7 +342,7 @@ class CosetQuotientView(QuotientView):
         super().__init__(G)
         self._coset_key = _coset_keys(n_elements, G.multiply, G.key)
 
-    def key(self, a) -> str:
+    def key(self, a) -> int:
         return self._coset_key(a)
 
 
@@ -445,7 +445,7 @@ def decompose_abelian(
     structure = AbelianStructure(tuple(moduli))
 
     # Build the bidirectional tables by enumerating all exponent tuples.
-    to_tuple: dict[str, tuple[int, ...]] = {id_key: structure.zero()}
+    to_tuple: dict = {id_key: structure.zero()}  # view key -> tuple
     reps = {structure.zero(): view.identity()}
     frontier = [structure.zero()]
     units = []

@@ -312,7 +312,7 @@ def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
 class _HarnessView(QuotientView):
     """A view whose equality is the wrapped view's harness-privileged key."""
 
-    def key(self, a) -> str:
+    def key(self, a):
         return self.group.hkey(a)
 
 

@@ -136,7 +136,7 @@ def solve_small_commutator(
     # (5) scan each coset x*G' in fixed bitstring order for a member of H
     picks = []
     for x in hgp.gens:
-        coset = sorted((G.multiply(x, c) for c in g_prime), key=lambda y: y.bits)
+        coset = sorted((G.multiply(x, c) for c in g_prime), key=G.key)
         pick = next(y for y in coset if f.eval(y) == base)
         picks.append(pick)
 

@@ -144,8 +144,12 @@ def test_suite_mode(group_dir):
         '{"group": "z46.grp", "hidden": "01000"}',
         '[{"group": "z46.grp", "hidden": 5}]',
         None,
+        '[{"group": "z46.grp", "hidden": "01000", "solver": "martian"}]',
     ],
-    ids=["no-group", "not-json", "epsilon-range", "epsilon-text", "object", "hidden-int", "missing"],
+    ids=[
+        "no-group", "not-json", "epsilon-range", "epsilon-text", "object", "hidden-int", "missing",
+        "unknown-solver",
+    ],
 )
 def test_malformed_suite_exits_3(group_dir, capsys, text):
     path = group_dir / "suite.json"
@@ -155,6 +159,11 @@ def test_malformed_suite_exits_3(group_dir, capsys, text):
         run_suite(path, master_seed=1)
     assert main(["--suite", str(path)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unknown_solver_is_a_spec_error(group_dir):
+    with pytest.raises(BadSpec, match="martian"):
+        RunConfig(str(group_dir / "z46.grp"), hidden="01000", solver="martian")
 
 
 def test_main_writes_report(group_dir, capsys):

@@ -1,6 +1,9 @@
 """Group backends: axioms, fixed composition tables, hiding oracles."""
 
 import ast
+import random
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import pytest
@@ -71,6 +74,96 @@ def test_group_axioms_random_triples(G):
         assert G.equal(G.multiply(G.multiply(a, b), c), G.multiply(a, G.multiply(b, c)))
         assert G.equal(G.multiply(e, a), a)
         assert G.is_identity(G.multiply(G.invert(a), a))
+
+
+def _reference_mul(backend, a: str, b: str) -> str:
+    """a*b written from the decoded fields, by each backend's definition."""
+    fa, fb = backend.decode(a), backend.decode(b)
+    kind = backend.kind
+    if kind == "permutation":
+        out = [fa[x] for x in fb]
+    elif kind in ("gf2matrix", "affinegf2"):
+        d = backend.dim
+        out = [reduce(xor, (fb[c] for c in range(d) if row >> (d - 1 - c) & 1), 0) for row in fa]
+    elif kind == "wreath":
+        (v1, w1, s1), (v2, w2, s2) = fa, fb
+        if s1:
+            v2, w2 = w2, v2
+        return backend.encode(v1 ^ v2, w1 ^ w2, s1 ^ s2)
+    elif kind == "extraspecial" and backend.variant == "exponent-p":
+        p = backend.p
+        (a1, b1, c1), (a2, b2, c2) = fa, fb
+        out = [(a1 + a2) % p, (b1 + b2) % p, (c1 + c2 + a1 * b2) % p]
+    elif kind == "extraspecial":
+        p = backend.p
+        (x1, y1), (x2, y2) = fa, fb
+        out = [(x1 + x2 * pow(1 + p, y1, p * p)) % (p * p), (y1 + y2) % p]
+    elif kind == "abelian":
+        out = [(x + y) % m for x, y, m in zip(fa, fb, backend.moduli)]
+    else:  # a product, part by part
+        return "".join(
+            _reference_mul(part, format(x, f"0{part.n}b"), format(y, f"0{part.n}b"))
+            for part, x, y in zip(backend.parts, fa, fb)
+        )
+    return backend.encode(out)
+
+
+@pytest.mark.parametrize("G", _backend_zoo(), ids=lambda g: g.backend.__class__.__name__)
+def test_int_backend_matches_field_reference(G):
+    """The int mul/inv agree with the group law on decoded fields, and
+    decode/encode round-trip."""
+    backend = G.backend
+    rng = random.Random(14)
+    elements = enumerate_closure(G, G.generators)
+    identity = G.identity().bits
+    for _ in range(60):
+        x, y = rng.choice(elements), rng.choice(elements)
+        product = format(backend.mul(x.value, y.value), f"0{backend.n}b")
+        assert product == _reference_mul(backend, x.bits, y.bits)
+        inverse = format(backend.inv(x.value), f"0{backend.n}b")
+        assert _reference_mul(backend, x.bits, inverse) == identity
+        assert _reference_mul(backend, inverse, x.bits) == identity
+        fields = backend.decode(x.bits)
+        spelled = backend.encode(*fields) if isinstance(fields, tuple) else backend.encode(fields)
+        assert spelled == x.bits
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec(kind="extraspecial", p=3),
+        GroupSpec(kind="permutation", degree=4, perms=[[1, 2, 3, 0], [1, 0, 2, 3]]),
+    ],
+    ids=["es3", "s4"],
+)
+def test_key_order_is_bitstring_order(spec):
+    """A least key over a coset picks the element the least bitstring did."""
+    G = make_group(spec)
+    elements = enumerate_closure(G, G.generators)
+    for a in elements:
+        for b in elements:
+            assert (G.key(a) < G.key(b)) == (a.bits < b.bits)
+            assert (a == b) == (a.bits == b.bits)
+
+
+def test_element_equality_is_encoding_equality():
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    for x in enumerate_closure(G, G.generators):
+        assert GroupElement(x.bits) == x and hash(GroupElement(x.bits)) == hash(x)
+        assert GroupElement.from_hex(x.hex) == x
+    assert GroupElement("01") != GroupElement("1")
+    for bad in (5, "012", "", None, b"01"):
+        with pytest.raises(InvalidEncoding):
+            GroupElement(bad)
+
+
+def test_hiding_oracle_label_pinned():
+    """A label recorded when elements were still carried as bitstrings."""
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    a, b = G.generators
+    f = make_hiding_oracle(G, [G.commutator(a, b)], seed=1414)
+    assert f.eval(G.multiply(a, b)) == "fa0338469d3f1edbb58e6b7ef526c18d"
+    assert f.eval(a) == "900bea0695410a8148d5105c7f827ba1"
 
 
 def test_s3_left_action_composition():
