@@ -15,7 +15,6 @@ from .core import (
 from .errors import HspError
 from .linalg import (
     AbelianStructure,
-    CharacterVector,
     decompose_abelian,
     dual_subgroup,
     smith_normal_form,

@@ -24,7 +24,7 @@ from .core import (
     make_hiding_oracle,
 )
 from .errors import BadSpec, HspError, InvalidEncoding, UnsupportedInstance
-from .normalsub import hidden_normal_subgroup, normal_closure
+from .normalsub import commutator_subgroup, hidden_normal_subgroup
 from .sim import SolverConfig, splitmix64
 from .solvers import (
     SubgroupResult,
@@ -80,24 +80,11 @@ def parse_hidden(G: BlackBoxGroup, text: str, base_dir: Path) -> list[GroupEleme
     return gens
 
 
-def _is_abelian(G: BlackBoxGroup) -> bool:
-    return all(
-        G.commute(a, b)
-        for i, a in enumerate(G.generators)
-        for b in G.generators[i + 1 :]
-    )
-
-
 def _pick_solver(G: BlackBoxGroup) -> str:
-    if _is_abelian(G):
+    if G.commuting(G.generators):
         return "abelian"
-    comms = [
-        G.commutator(a, b)
-        for i, a in enumerate(G.generators)
-        for b in G.generators[i + 1 :]
-    ]
     try:
-        normal_closure(G, comms, bound=AUTO_COMMUTATOR_BOUND)
+        commutator_subgroup(G, AUTO_COMMUTATOR_BOUND)
         return "commutator"
     except HspError:
         pass

@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial, prod
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -482,6 +483,11 @@ class GroupView:
 
     def commute(self, a, b) -> bool:
         return self.key(self.multiply(a, b)) == self.key(self.multiply(b, a))
+
+    def commuting(self, xs) -> bool:
+        """Whether the elements commute pairwise; pairs (x_i, x_j), i < j, are
+        checked in order, up to the first that does not commute."""
+        return all(self.commute(a, b) for a, b in combinations(xs, 2))
 
     def power(self, g, k: int):
         if k < 0:

@@ -69,22 +69,6 @@ class AbelianStructure:
         return sum(cj * xj * (M // m) for cj, xj, m in zip(c, x, self.moduli)) % M
 
 
-@dataclass(frozen=True)
-class CharacterVector:
-    """An element of the dual group: chi_c(x) = exp(2*pi*i * sum c_j x_j / m_j)."""
-
-    coeffs: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-
 def identity_matrix(n: int) -> Matrix:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -225,10 +209,10 @@ def _pairing_kernel(
 
 def dual_subgroup(
     structure: AbelianStructure, h_gens: Sequence[Sequence[int]]
-) -> list[CharacterVector]:
-    """Generators of H-perp, the characters trivial on <h_gens>."""
-    rows = [structure.reduce(h) for h in h_gens]
-    return [CharacterVector(t) for t in _pairing_kernel(structure, rows)]
+) -> list[tuple[int, ...]]:
+    """Generators of H-perp, the characters trivial on <h_gens>, as their
+    coefficient tuples c: chi_c(x) = exp(2*pi*i * sum c_j x_j / m_j)."""
+    return _pairing_kernel(structure, [structure.reduce(h) for h in h_gens])
 
 
 def solve_character_kernel(
@@ -389,10 +373,8 @@ def decompose_abelian(
     generators do not commute, BoundExceeded past the enumeration bound.
     """
     gens = list(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not view.commute(gens[i], gens[j]):
-                raise NotAbelian("generators do not commute")
+    if not view.commuting(gens):
+        raise NotAbelian("generators do not commute")
     elements = view_closure(view, gens, bound)
     order = len(elements)
     id_key = view.key(view.identity())

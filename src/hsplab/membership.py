@@ -1,9 +1,10 @@
 """Constructive membership tests in Abelian subgroups.
 
-Three regimes share one reduction: given pairwise-commuting h_1..h_r and g
-(commuting in the group, modulo a hidden normal subgroup, or modulo a normal
-subgroup given by generators), compute the element orders s_1..s_r, s in the
-relevant quotient, hide the kernel of
+Three regimes share one reduction, each a GroupView: the group itself, G
+modulo a hidden normal subgroup (LabelQuotientView) and G modulo a normal
+subgroup given by its elements (CosetQuotientView).  Given h_1..h_r and g
+commuting pairwise in the view, compute the element orders s_1..s_r, s in
+the view, hide the kernel of
 phi(a_1..a_r, a) = h_1^{a_1} ... h_r^{a_r} g^{-a}
 over Z_{s_1} x ... x Z_{s_r} x Z_s, and read off an expression for g from a
 kernel element whose last coordinate is coprime to s.
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import BlackBoxGroup, GroupElement, GroupView, enumerate_closure, HidingOracle
-from .errors import HspError, InvariantBroken, MemberUnverified, NotCommuting
-from .linalg import AbelianStructure, CosetQuotientView, LabelQuotientView
+from .core import GroupView
+from .errors import InvariantBroken, MemberUnverified, NotCommuting
+from .linalg import AbelianStructure, QuotientView
 from .sim import QuantumFunctionOracle, SolverConfig, _kernel_provider, abelian_hsp, find_order
 
 
@@ -109,55 +110,27 @@ def _phi_oracle(
     return QuantumFunctionOracle(structure, view, elem, _kernel_provider(view, images, structure))
 
 
-def membership_view(
-    G: BlackBoxGroup,
-    mode: str,
-    f: Optional[HidingOracle] = None,
-    n_gens: Optional[Sequence[GroupElement]] = None,
-    n_elements: Optional[Sequence[GroupElement]] = None,
-) -> GroupView:
-    if mode == "unique":
-        return G
-    if mode == "mod-hidden":
-        if f is None:
-            raise HspError("mod-hidden membership needs the hiding oracle f")
-        return LabelQuotientView(G, f)
-    if mode == "mod-generated":
-        if n_elements is None:
-            if n_gens is None:
-                raise HspError("mod-generated membership needs n_gens or n_elements")
-            n_elements = enumerate_closure(G, n_gens)
-        return CosetQuotientView(G, n_elements)
-    raise ValueError(f"unknown membership mode {mode!r}")
-
-
 def constructive_membership(
-    G: BlackBoxGroup,
-    h_list: Sequence[GroupElement],
-    g: GroupElement,
+    view: GroupView,
+    h_list: Sequence,
+    g,
     cfg: SolverConfig,
-    mode: str = "unique",
-    f: Optional[HidingOracle] = None,
-    n_gens: Optional[Sequence[GroupElement]] = None,
-    n_elements: Optional[Sequence[GroupElement]] = None,
 ) -> MembershipAnswer:
-    """Either express g as a product of powers of the h_i or report NotMember.
+    """Either express g as a product of powers of the h_i in the view or
+    report NotMember.  The view is the regime: a BlackBoxGroup (unique
+    encodings), a LabelQuotientView (modulo a hidden normal subgroup) or a
+    CosetQuotientView (modulo a normal subgroup given by its elements).
 
-    Member answers are verified by multiplication at the mode's equality;
+    Member answers are verified by multiplication at the view's equality;
     order-finding failures are absorbed by re-running with fresh seeds, and
     MemberUnverified is raised when every attempt fails verification.
     """
-    view = membership_view(G, mode, f, n_gens, n_elements)
-    for i, a in enumerate(h_list):
-        for b in h_list[i + 1 :]:
-            if not view.commute(a, b):
-                raise NotCommuting("generators must commute in the chosen quotient")
-        if not view.commute(a, g):
-            raise NotCommuting("g must commute with every generator")
+    if not view.commuting(list(h_list) + [g]):
+        raise NotCommuting("g and the generators must commute pairwise in the view")
     attempts = 3
     for _ in range(attempts):
         sub = cfg.child("membership")
-        answer = _attempt(G, view, h_list, g, sub, mode)
+        answer = _attempt(view, h_list, g, sub)
         if not answer.member:
             return answer
         # verify by multiplication at the view's equality
@@ -169,28 +142,18 @@ def constructive_membership(
     raise MemberUnverified(f"no member answer passed verification in {attempts} attempts")
 
 
-def _attempt(
-    G: BlackBoxGroup,
-    view: GroupView,
-    h_list: Sequence[GroupElement],
-    g: GroupElement,
-    cfg: SolverConfig,
-    mode: str,
-) -> MembershipAnswer:
-    ambient_bounds = []
-    for x in list(h_list) + [g]:
-        if mode == "unique":
-            ambient_bounds.append(G.order_hint)
-        else:
-            # the order in G is a multiple of the order in the quotient
-            ambient_bounds.append(
-                find_order(G, x, cfg.child("ambient-order"), order_bound=G.order_hint)
-            )
+def _attempt(view: GroupView, h_list: Sequence, g, cfg: SolverConfig) -> MembershipAnswer:
+    xs = list(h_list) + [g]
+    if isinstance(view, QuotientView):
+        # the order in the group is a multiple of the order in the quotient
+        bounds = [find_order(view.group, x, cfg.child("ambient-order")) for x in xs]
+    else:
+        bounds = [view.order_hint] * len(xs)
     orders = [
         find_order(view, h, cfg.child("order"), order_bound=b)
-        for h, b in zip(h_list, ambient_bounds[:-1])
+        for h, b in zip(h_list, bounds[:-1])
     ]
-    s = find_order(view, g, cfg.child("order-g"), order_bound=ambient_bounds[-1])
+    s = find_order(view, g, cfg.child("order-g"), order_bound=bounds[-1])
     oracle = _phi_oracle(view, h_list, g, orders, s)
     kernel = abelian_hsp(oracle, cfg.child("kernel"))
     expr = extract_expression(kernel, tuple(orders) + (s,))

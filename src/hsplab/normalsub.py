@@ -7,6 +7,7 @@ small-commutator solver consumes; non-Abelian quotients are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
@@ -33,45 +34,35 @@ class NormalGenerators:
     closure_certificate: Optional[list[GroupElement]] = None
 
 
-def abelian_quotient_presentation(
-    G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig
-) -> AbelianPresentation:
-    """Decompose G/N over f-labels; generators are lifted to G-encodings."""
-    view = LabelQuotientView(G, f)
-    gens = G.generators
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if not view.commute(a, b):
-                raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup")
+def abelian_quotient_presentation(view: LabelQuotientView) -> AbelianPresentation:
+    """Decompose G/N over the view's f-labels; generators are lifted to G-encodings."""
+    gens = view.group.generators
+    if not view.commuting(gens):
+        raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup")
     dec = decompose_abelian(view, gens)
     return AbelianPresentation(list(dec.basis), dec.structure.moduli)
 
 
+def _commutators(G: BlackBoxGroup, xs: Sequence[GroupElement]) -> list[GroupElement]:
+    """[x_i, x_j] for every pair i < j, in order."""
+    return [G.commutator(a, b) for a, b in combinations(xs, 2)]
+
+
 def relator_values(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupElement]:
     """Relators evaluated in G (not modulo N): t_i^{d_i} and [t_i, t_j]."""
-    values = []
-    for t, d in zip(p.generators, p.moduli):
-        values.append(G.power(t, d))
-    for i, a in enumerate(p.generators):
-        for b in p.generators[i + 1 :]:
-            values.append(G.commutator(a, b))
-    return values
+    powers = [G.power(t, d) for t, d in zip(p.generators, p.moduli)]
+    return powers + _commutators(G, p.generators)
 
 
 def generator_quotients(
-    G: BlackBoxGroup,
-    f: HidingOracle,
-    p: AbelianPresentation,
-    original_gens: Sequence[GroupElement],
-    cfg: SolverConfig,
+    view: LabelQuotientView, p: AbelianPresentation, cfg: SolverConfig
 ) -> list[GroupElement]:
-    """For each original generator x, express xN over the presentation
+    """For each generator x of G, express xN over the presentation
     generators and emit y^-1 x; every output lies in N."""
+    G = view.group
     out = []
-    for x in original_gens:
-        answer = constructive_membership(
-            G, p.generators, x, cfg.child("genquot"), mode="mod-hidden", f=f
-        )
+    for x in G.generators:
+        answer = constructive_membership(view, p.generators, x, cfg.child("genquot"))
         if not answer.member:
             raise ExpressFailure(
                 "presentation generators fail to cover an original generator"
@@ -111,14 +102,20 @@ def normal_closure(
     return NormalGenerators(gens, closure)
 
 
+def commutator_subgroup(G: BlackBoxGroup, bound: int) -> NormalGenerators:
+    """G' as the normal closure of the generators' pairwise commutators."""
+    return normal_closure(G, _commutators(G, G.generators), bound)
+
+
 def hidden_normal_subgroup(
     G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig
 ) -> NormalGenerators:
     """Generators of the hidden normal subgroup N: normal closure of the
     relator values R0 and the generator quotients S0."""
-    p = abelian_quotient_presentation(G, f, cfg)
+    view = LabelQuotientView(G, f)
+    p = abelian_quotient_presentation(view)
     r0 = relator_values(G, p)
-    s0 = generator_quotients(G, f, p, G.generators, cfg)
+    s0 = generator_quotients(view, p, cfg)
     base_label = f.eval(G.identity())
     for v in r0 + s0:
         if f.eval(v) != base_label:

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     AbelianStructure,
-    CharacterVector,
     QuotientView,
     decompose_abelian,
     dual_subgroup,
@@ -166,14 +165,14 @@ def _ideal_state(f: QuantumFunctionOracle) -> dict:
     if f._ideal_cache is None:
         h_gens = f.hidden_subgroup_gens()
         A = f.structure
-        perp_gens = [list(c.coeffs) for c in dual_subgroup(A, h_gens)]
-        perp = subgroup_elements(A, perp_gens)
+        perp = subgroup_elements(A, dual_subgroup(A, h_gens))
         f._ideal_cache = {"h_gens": h_gens, "perp": perp}
     return f._ideal_cache
 
 
-def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> CharacterVector:
-    """One Fourier-sampling round: a character drawn uniformly from H-perp."""
+def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> tuple[int, ...]:
+    """One Fourier-sampling round: a character, as its coefficient tuple,
+    drawn uniformly from H-perp."""
     if backend == "ideal":
         state = _ideal_state(f)
         perp = state["perp"]
@@ -181,18 +180,18 @@ def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> 
         # sanity: the draw annihilates the hidden subgroup it was derived from
         if any(f.structure.pairing(draw, h) for h in state["h_gens"]):
             raise InvariantBroken(f"character {draw} does not annihilate the hidden subgroup")
-        return CharacterVector(tuple(draw))
+        return draw
     if backend == "statevector":
         return _statevector_sample(f, rng)
     raise HspError(f"unknown sampler backend {backend!r}")
 
 
-def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> CharacterVector:
+def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> tuple[int, ...]:
     A = f.structure
     if A.order > STATEVECTOR_CAP:
         raise TooLarge(f"statevector cap {STATEVECTOR_CAP} exceeded by |A| = {A.order}")
     if not A.moduli:
-        return CharacterVector(())
+        return ()
     order = A.order
     elements = A.elements()
     # Step 1+2: uniform superposition over A with an empty label register.
@@ -224,7 +223,7 @@ def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> CharacterVe
     for m in reversed(A.moduli):
         coeffs.append(idx % m)
         idx //= m
-    return CharacterVector(tuple(reversed(coeffs)))
+    return tuple(reversed(coeffs))
 
 
 def annihilates(structure: AbelianStructure, c: Sequence[int], x: Sequence[int]) -> bool:
@@ -243,7 +242,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
         return []
     rng = cfg.rng
     samples: list[tuple[int, ...]] = []
-    kernel_gens = None  # None means "whole group so far"
+    kernel_gens = list(_unit_tuples(structure))
     kernel_order = structure.order
     stable = 0
     rounds = 0
@@ -252,13 +251,8 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
         if rounds > MAX_ROUNDS:
             raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
         c = sample_character(f, cfg.backend, rng)
-        samples.append(tuple(c.coeffs))
-        current = (
-            kernel_gens
-            if kernel_gens is not None
-            else [u for u in _unit_tuples(structure)]
-        )
-        if all(annihilates(structure, c, x) for x in current):
+        samples.append(c)
+        if all(annihilates(structure, c, x) for x in kernel_gens):
             stable += 1
             continue
         kernel_gens = solve_character_kernel(structure, samples)
@@ -267,8 +261,6 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
             raise InvariantBroken(f"kernel did not shrink: {new_order} >= {kernel_order}")
         kernel_order = new_order
         stable = 0
-    if kernel_gens is None:
-        kernel_gens = [u for u in _unit_tuples(structure)]
     return [t for t in kernel_gens if any(t)]
 
 

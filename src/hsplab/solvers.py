@@ -42,7 +42,7 @@ from .linalg import (
     decompose_abelian,
     view_closure,
 )
-from .normalsub import hidden_normal_subgroup
+from .normalsub import commutator_subgroup, hidden_normal_subgroup
 from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
 
 
@@ -113,17 +113,10 @@ def solve_small_commutator(
     identity = G.identity()
 
     # (1) enumerate G' as the normal closure of the generator commutators
-    comms = []
-    for i, a in enumerate(G.generators):
-        for b in G.generators[i + 1 :]:
-            comms.append(G.commutator(a, b))
-    from .normalsub import normal_closure
-
     try:
-        nc = normal_closure(G, comms, bound=commutator_bound)
+        g_prime = commutator_subgroup(G, commutator_bound).closure_certificate
     except BoundExceeded as exc:
         raise CommutatorBoundExceeded(str(exc)) from exc
-    g_prime = nc.closure_certificate
 
     # (2) H on G' by direct scan
     base = f.eval(identity)
@@ -164,12 +157,10 @@ def check_elem2_normal(
 ) -> list[GroupElement]:
     """Verify <n_gens> is an elementary Abelian 2-group, normal in G; return
     its enumerated elements."""
-    for i, a in enumerate(n_gens):
-        if not G.is_identity(G.multiply(a, a)):
-            raise NotElementaryAbelian2("a generator has order > 2")
-        for b in n_gens[i + 1 :]:
-            if not G.commute(a, b):
-                raise NotElementaryAbelian2("generators do not commute")
+    if not all(G.is_identity(G.multiply(a, a)) for a in n_gens):
+        raise NotElementaryAbelian2("a generator has order > 2")
+    if not G.commuting(n_gens):
+        raise NotElementaryAbelian2("generators do not commute")
     n_elements = enumerate_closure(G, n_gens, bound)
     keys = {G.key(x) for x in n_elements}
     for g in G.generators:

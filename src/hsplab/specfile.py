@@ -90,6 +90,19 @@ def _lines(text: str) -> list[tuple[str, str]]:
 
 
 def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
+    return _parse(text, base_dir, ())
+
+
+def _load_part(path: Path, chain: tuple[Path, ...]) -> GroupSpec:
+    """The spec in `path`, a part of the product files in `chain`; a file
+    that includes itself, directly or through its parts, is a BadSpec."""
+    resolved = path.resolve()
+    if resolved in chain:
+        raise BadSpec(f"product spec includes itself: {path}")
+    return _parse(path.read_text(), path.parent, chain + (resolved,))
+
+
+def _parse(text: str, base_dir: Optional[Path], chain: tuple[Path, ...]) -> GroupSpec:
     pairs = _lines(text)
     if not pairs or pairs[0][0] != "kind":
         raise BadSpec("spec must start with a kind line")
@@ -176,8 +189,7 @@ def parse_group_spec(text: str, base_dir: Optional[Path] = None) -> GroupSpec:
             if key == "part":
                 if base_dir is None:
                     raise BadSpec("product parts need a base directory")
-                path = base_dir / value
-                parts.append(parse_group_spec(path.read_text(), path.parent))
+                parts.append(_load_part(base_dir / value, chain))
             else:
                 raise BadSpec(f"unknown key {key!r} for product")
         return GroupSpec(kind="product", parts=parts)

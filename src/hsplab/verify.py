@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from scipy.stats import chi2 as _chi2
-
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure
 from .errors import BoundExceeded, HspError
 from .sim import RngStream
@@ -68,9 +66,12 @@ def subgroups_of(
         work = [trivial]
         while work:
             sub = work.pop()
-            sub_gens = sub  # closing over all members keeps the fixpoint simple
+            sub_keys = subgroup_key(G, sub)
             for x in elements:
-                extended = enumerate_closure(G, sub_gens + [x], len(elements))
+                if G.key(x) in sub_keys:
+                    continue  # <sub, x> is sub, found already
+                # closing over all members keeps the fixpoint simple
+                extended = enumerate_closure(G, sub + [x], len(elements))
                 key = subgroup_key(G, extended)
                 if key not in found:
                     found[key] = extended
@@ -102,8 +103,10 @@ def chi_square_uniform(samples: Sequence, support: Sequence) -> tuple[float, flo
     k = len(support)
     if k == 1:
         return 0.0, 1.0
+    from scipy.stats import chi2
+
     expected = n / k
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    p = float(_chi2.sf(stat, k - 1))
+    p = float(chi2.sf(stat, k - 1))
     return stat, p
 

@@ -89,6 +89,10 @@ def test_exit_codes(group_dir):
     assert code == 3
     code, report = run(RunConfig(str(group_dir / "z46.grp"), hidden="@binary.grp"))
     assert code == 3
+    (group_dir / "self.grp").write_text("kind = product\npart = self.grp\n")
+    code, report = run(RunConfig(str(group_dir / "self.grp"), hidden="0"))
+    assert code == 3 and "includes itself" in report["error"]
+    assert main(["--group", str(group_dir / "self.grp"), "--hidden", "0"]) == 3
     with pytest.raises(BadSpec):
         RunConfig(str(group_dir / "z46.grp"), hidden="01000", epsilon=0.7)
 

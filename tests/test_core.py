@@ -201,6 +201,21 @@ def test_power_conventions():
     assert G.is_identity(G.power(g, 4))
 
 
+def test_commuting_checks_pairs_in_order():
+    G = q8_group()
+    i, j = G.generators
+    minus_one = G.power(i, 2)
+    assert G.commuting([]) and G.commuting([i])
+    assert G.commuting([i, G.power(i, 3), minus_one, G.identity()])
+    assert not G.commuting([i, j])
+    assert not G.commuting([i, minus_one, j])  # only the pairs with j fail
+    ops = G.stats.group_ops
+    assert not G.commuting([i, j, minus_one])
+    assert G.stats.group_ops - ops == 2  # stops at the first pair (i, j)
+    # modulo the centre <-1>, Q8 is Abelian
+    assert CosetQuotientView(G, enumerate_closure(G, [minus_one])).commuting([i, j])
+
+
 def test_make_group_orders():
     wreath2 = make_group(GroupSpec(kind="wreath", k=2))
     assert len(enumerate_closure(wreath2, wreath2.generators)) == 32

@@ -104,14 +104,14 @@ def test_snf_postconditions_property(A):
 
 def test_dual_subgroup_examples():
     z4 = AbelianStructure((4,))
-    perp = subgroup_elements(z4, [list(c.coeffs) for c in dual_subgroup(z4, [(2,)])])
+    perp = subgroup_elements(z4, dual_subgroup(z4, [(2,)]))
     assert sorted(perp) == [(0,), (2,)]
 
-    full = subgroup_elements(z4, [list(c.coeffs) for c in dual_subgroup(z4, [])])
+    full = subgroup_elements(z4, dual_subgroup(z4, []))
     assert len(full) == 4
 
     z22 = AbelianStructure((2, 2))
-    perp = subgroup_elements(z22, [list(c.coeffs) for c in dual_subgroup(z22, [(1, 1)])])
+    perp = subgroup_elements(z22, dual_subgroup(z22, [(1, 1)]))
     assert sorted(perp) == [(0, 0), (1, 1)]
 
 
@@ -147,10 +147,10 @@ def test_duality_involution_and_order_product(moduli):
         h_gens = [list(t) for t in sub]
         perp = dual_subgroup(structure, h_gens)
         back = subgroup_elements(
-            structure, solve_character_kernel(structure, [c.coeffs for c in perp])
+            structure, solve_character_kernel(structure, perp)
         )
         assert frozenset(back) == sub
-        perp_size = len(subgroup_elements(structure, [list(c.coeffs) for c in perp]))
+        perp_size = len(subgroup_elements(structure, perp))
         assert len(sub) * perp_size == structure.order
 
 

@@ -1,9 +1,10 @@
-"""Constructive membership in commuting generator sets, all three modes."""
+"""Constructive membership in commuting generator sets, in all three views."""
 
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import MemberUnverified, NotCommuting
+from hsplab.linalg import CosetQuotientView, LabelQuotientView
 from hsplab.membership import (
     ExponentTuple,
     MembershipAnswer,
@@ -13,7 +14,7 @@ from hsplab.membership import (
 from hsplab.sim import RngStream, SolverConfig
 from hsplab.specfile import parse_cycles
 
-from conftest import affine4_group
+from conftest import affine4_group, d16_group
 
 
 def _perm(G, text):
@@ -91,28 +92,43 @@ def test_mod_generated_affine_type_b_element():
     n_elements = enumerate_closure(G, n_gens)
     h = G.generators[0]  # the type-(a) generator
     g = n_gens[0]  # a type-(b) element, so g is in N
-    ans = constructive_membership(
-        G, [h], g, SolverConfig(seed=45), mode="mod-generated", n_elements=n_elements
-    )
+    ans = constructive_membership(CosetQuotientView(G, n_elements), [h], g, SolverConfig(seed=45))
     assert ans.member
     assert all(v == 0 for v in ans.exponents.values)
 
 
 def test_mod_hidden_agrees_with_unique_when_n_trivial():
+    """With N trivial the three views are one regime: the group, G modulo a
+    hidden N and G modulo a generated N give the same verdicts."""
     G = make_group(GroupSpec(kind="abelian", moduli=(12,)))
     f = make_hiding_oracle(G, [], seed=3)
+    coset = CosetQuotientView(G, [G.identity()])
     h = GroupElement(G.backend.encode((2,)))
     g = GroupElement(G.backend.encode((8,)))
     plain = constructive_membership(G, [h], g, SolverConfig(seed=46))
-    hidden = constructive_membership(
-        G, [h], g, SolverConfig(seed=47), mode="mod-hidden", f=f
-    )
-    assert plain.member and hidden.member
+    hidden = constructive_membership(LabelQuotientView(G, f), [h], g, SolverConfig(seed=47))
+    generated = constructive_membership(coset, [h], g, SolverConfig(seed=51))
+    assert plain.member and hidden.member and generated.member
+    assert plain.exponents == hidden.exponents == generated.exponents
     outside = GroupElement(G.backend.encode((3,)))
     assert not constructive_membership(G, [h], outside, SolverConfig(seed=48)).member
     assert not constructive_membership(
-        G, [h], outside, SolverConfig(seed=49), mode="mod-hidden", f=f
+        LabelQuotientView(G, f), [h], outside, SolverConfig(seed=49)
     ).member
+    assert not constructive_membership(coset, [h], outside, SolverConfig(seed=52)).member
+
+
+def test_label_quotient_membership_counts_pinned():
+    """One fixed-seed call modulo a hidden normal subgroup: the f-queries and
+    group operations it issues, recorded before membership took a view."""
+    G = d16_group()
+    r, s = G.generators
+    f = make_hiding_oracle(G, [G.power(r, 2)], seed=61)
+    g = G.multiply(G.power(r, 5), s)
+    queries, ops = f.query_count, G.stats.group_ops
+    ans = constructive_membership(LabelQuotientView(G, f), [r, s], g, SolverConfig(seed=62))
+    assert ans.exponents == ExponentTuple((1, 1), (2, 2))
+    assert (f.query_count - queries, G.stats.group_ops - ops) == (14, 532)
 
 
 def test_extract_expression_examples():
@@ -137,7 +153,7 @@ def test_unverified_member_answer_raises(s8, monkeypatch):
     h = GroupElement(s8.backend.encode(parse_cycles("(1 2 3 4 5)", 8)))
     g = s8.power(h, 2)
 
-    def wrong_exponents(G, view, h_list, g, cfg, mode):
+    def wrong_exponents(view, h_list, g, cfg):
         return MembershipAnswer(True, ExponentTuple((1,), (5,)))
 
     monkeypatch.setattr(membership, "_attempt", wrong_exponents)

@@ -4,6 +4,7 @@ import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import QuotientNotAbelian
+from hsplab.linalg import LabelQuotientView
 from hsplab.normalsub import (
     abelian_quotient_presentation,
     generator_quotients,
@@ -22,7 +23,7 @@ def test_presentation_z2_cubed_quotient():
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2, 2)))
     n_gen = GroupElement(G.backend.encode((1, 1, 0)))
     f = make_hiding_oracle(G, [n_gen], seed=12)
-    p = abelian_quotient_presentation(G, f, SolverConfig(seed=13))
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
     assert sorted(p.moduli) == [2, 2]
     id_label = f.peek(G.identity())
     for value in relator_values(G, p):
@@ -33,28 +34,28 @@ def test_presentation_constant_oracle_is_empty():
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2)))
     elements = enumerate_closure(G, G.generators)
     f = make_hiding_oracle(G, elements, seed=14)
-    p = abelian_quotient_presentation(G, f, SolverConfig(seed=15))
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
     assert p.moduli == ()
 
 
 def test_presentation_q8_center_quotient(q8):
     z = q8_minus_one(q8)
     f = make_hiding_oracle(q8, [z], seed=16)
-    p = abelian_quotient_presentation(q8, f, SolverConfig(seed=17))
+    p = abelian_quotient_presentation(LabelQuotientView(q8, f))
     assert sorted(p.moduli) == [2, 2]
 
 
 def test_presentation_rejects_nonabelian_quotient(s8):
     f = make_hiding_oracle(s8, [], seed=18)
     with pytest.raises(QuotientNotAbelian):
-        abelian_quotient_presentation(s8, f, SolverConfig(seed=19))
+        abelian_quotient_presentation(LabelQuotientView(s8, f))
 
 
 def test_relator_values_z4():
     G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
     two = GroupElement(G.backend.encode((2,)))
     f = make_hiding_oracle(G, [two], seed=20)
-    p = abelian_quotient_presentation(G, f, SolverConfig(seed=21))
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
     assert p.moduli == (2,)
     values = relator_values(G, p)
     assert len(values) == 1
@@ -65,7 +66,7 @@ def test_relator_values_z4():
 def test_commutator_relator_lands_in_center(q8):
     z = q8_minus_one(q8)
     f = make_hiding_oracle(q8, [z], seed=22)
-    p = abelian_quotient_presentation(q8, f, SolverConfig(seed=23))
+    p = abelian_quotient_presentation(LabelQuotientView(q8, f))
     values = relator_values(q8, p)
     center_keys = {q8.key(x) for x in enumerate_closure(q8, [z])}
     # [i, j] = -1: every relator value lies in the center
@@ -78,8 +79,9 @@ def test_generator_quotients_lie_in_n():
     two = GroupElement(G.backend.encode((2,)))
     f = make_hiding_oracle(G, [two], seed=24)
     cfg = SolverConfig(seed=25)
-    p = abelian_quotient_presentation(G, f, cfg)
-    quotients = generator_quotients(G, f, p, G.generators, cfg)
+    view = LabelQuotientView(G, f)
+    p = abelian_quotient_presentation(view)
+    quotients = generator_quotients(view, p, cfg)
     id_label = f.peek(G.identity())
     assert quotients
     assert all(f.peek(q) == id_label for q in quotients)

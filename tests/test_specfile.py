@@ -69,6 +69,21 @@ def test_product_spec_from_files(tmp_path):
     assert len(enumerate_closure(G, G.generators)) == 12
 
 
+def test_product_spec_including_itself_rejected(tmp_path):
+    (tmp_path / "a.grp").write_text("kind = product\npart = a.grp\n")
+    (tmp_path / "b.grp").write_text("kind = product\npart = c.grp\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "c.grp").write_text("kind = product\npart = sub/../b.grp\n")
+    for name in ("a.grp", "b.grp", "c.grp"):
+        with pytest.raises(BadSpec, match="includes itself"):
+            load_group_spec(tmp_path / name)
+    # one part twice is a product, not a cycle
+    (tmp_path / "z2.grp").write_text("kind = abelian\nmoduli = 2\n")
+    (tmp_path / "twice.grp").write_text("kind = product\npart = z2.grp\npart = z2.grp\n")
+    G = make_group(load_group_spec(tmp_path / "twice.grp"))
+    assert len(enumerate_closure(G, G.generators)) == 4
+
+
 def test_bad_specs_rejected():
     with pytest.raises(BadSpec):
         parse_group_spec("degree = 4\n")

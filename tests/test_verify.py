@@ -1,6 +1,11 @@
 """Brute-force oracles and statistical helpers used as ground truth."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import hsplab
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.sim import RngStream
@@ -95,3 +100,14 @@ def test_chi_square_accepts_true_uniform():
         if p > 1e-3:
             accepted += 1
     assert accepted >= 99
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs about a second to import; only chi_square_uniform
+    needs it, so it is imported there."""
+    src = str(Path(hsplab.__file__).resolve().parent.parent)
+    code = "import sys, hsplab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
