@@ -9,16 +9,20 @@ pools at seeds 1 and 2, once each, with the library of this checkout
 representatives, the solver's ``f_queries``, ``group_ops`` and ``rng_draws``,
 and the hiding oracle's query and harness-query counts.  On ``cli-suite`` it
 writes the ``cli.run(..., verify=True)`` report instead, without
-``wall_time_s`` and the spec path, which name a temporary directory.  Two
-trees that compute the same thing write byte-identical files.
+``wall_time_s`` and the spec path, which name a temporary directory.  Each
+instance also gets an ``answer``: a digest of the sorted element keys of the
+subgroup the returned generators generate, or null on an error.  Two trees
+that compute the same thing write byte-identical files.
 
-The second form prints ``identical`` or the number of instances whose
-outputs differ, and exits 0 either way.
+The second form prints ``identical``, or the number of instances whose
+outputs differ and the number whose answers differ as subgroups, and exits 0
+either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -28,20 +32,34 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 
 
+def _answer(G, hexes):
+    """Digest of the subgroup the hex-encoded generators generate, which does
+    not depend on the generators chosen; None when there is no answer."""
+    from workloads import core
+
+    if hexes is None:
+        return None
+    gens = [core.GroupElement.from_hex(h) for h in hexes]
+    keys = sorted(G.key(x) for x in core.enumerate_closure(G, gens))
+    return hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
+
+
 def _solver_outputs(prepared, inst) -> dict:
     from workloads import HspError, core
 
     group = prepared.groups[inst.group]
     G = group.G
     f = core.make_hiding_oracle(G, inst.hidden, seed=inst.oracle_seed)
-    out = {"group": group.label, "hidden": [x.hex for x in inst.hidden]}
+    out = {"group": group.label, "hidden": [x.hex for x in inst.hidden], "answer": None}
     try:
         result = group.solve(G, f, inst.solver_seed)
     except HspError as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
     else:
+        gens = [g.hex for g in result.gens]
         out.update(
-            gens=[g.hex for g in result.gens],
+            answer=_answer(G, gens),
+            gens=gens,
             coset_reps=None if result.coset_reps is None else [g.hex for g in result.coset_reps],
             method=result.method,
             f_queries=result.stats.f_queries,
@@ -63,7 +81,8 @@ def _cli_outputs(prepared, inst) -> dict:
     code, report = cli.run(config)
     report.pop("wall_time_s")
     report["config"].pop("group")
-    return {"group": group.label, "code": code, "report": report}
+    answer = _answer(group.G, report.get("generators"))
+    return {"group": group.label, "code": code, "report": report, "answer": answer}
 
 
 def dump(out_path: Path) -> None:
@@ -88,14 +107,17 @@ def dump(out_path: Path) -> None:
     out_path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
 
 
-def differing_instances(old: dict, new: dict) -> int:
-    """Instances whose outputs differ; a pool present in one file only
-    counts all of its instances."""
-    count = 0
+def differing_instances(old: dict, new: dict) -> tuple[int, int]:
+    """Instances whose outputs differ, and those whose answers differ as
+    subgroups; a pool present in one file only counts all of its instances
+    in both."""
+    outputs = answers = 0
     for pool in sorted(set(old) | set(new)):
         a, b = old.get(pool, []), new.get(pool, [])
-        count += sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-    return count
+        extra = abs(len(a) - len(b))
+        outputs += sum(x != y for x, y in zip(a, b)) + extra
+        answers += sum(x.get("answer") != y.get("answer") for x, y in zip(a, b)) + extra
+    return outputs, answers
 
 
 def main(argv=None) -> int:
@@ -105,8 +127,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         old, new = (json.loads(p.read_text()) for p in args.compare)
-        count = differing_instances(old, new)
-        print("identical" if count == 0 else f"{count} differing instances")
+        outputs, answers = differing_instances(old, new)
+        if outputs == 0:
+            print("identical")
+        else:
+            print(f"{outputs} differing instances, {answers} differing as subgroups")
         return 0
     if args.out is None:
         parser.error("give OUT.json or --compare OLD NEW")

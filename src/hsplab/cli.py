@@ -102,7 +102,7 @@ def _dispatch(G: BlackBoxGroup, f, solver: str, cfg: SolverConfig) -> SubgroupRe
         start = f.query_count
         ops = G.stats.group_ops
         n = hidden_normal_subgroup(G, f, cfg)
-        stats = QueryStats(f.query_count - start, G.stats.group_ops - ops, cfg.rng.draws)
+        stats = QueryStats(f.query_count - start, G.stats.group_ops - ops, cfg.draws)
         return SubgroupResult(n.gens, stats, "normal")
     if solver in ("elem2-small", "elem2-cyclic"):
         n_bits = G.meta.get("elem2_normal_gens")

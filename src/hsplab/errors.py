@@ -41,10 +41,6 @@ class NotCommuting(HspError):
     """Constructive membership requires pairwise commuting inputs."""
 
 
-class MemberUnverified(HspError):
-    """Every member answer of constructive membership failed verification."""
-
-
 class QuotientNotAbelian(HspError):
     """The quotient modulo the hidden subgroup is not Abelian."""
 
@@ -67,10 +63,6 @@ class NotNormal(HspError):
 
 class QuotientBoundExceeded(HspError):
     """The quotient G/N is larger than the configured bound."""
-
-
-class NotCyclicQuotient(HspError):
-    """Sylow generator sampling failed; the quotient does not look cyclic."""
 
 
 class UnsupportedInstance(HspError):

@@ -17,7 +17,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .core import GroupView
-from .errors import InvariantBroken, MemberUnverified, NotCommuting
+from .errors import InvariantBroken, NotCommuting
 from .linalg import AbelianStructure, QuotientView
 from .sim import QuantumFunctionOracle, SolverConfig, _kernel_provider, abelian_hsp, find_order
 
@@ -121,25 +121,21 @@ def constructive_membership(
     encodings), a LabelQuotientView (modulo a hidden normal subgroup) or a
     CosetQuotientView (modulo a normal subgroup given by its elements).
 
-    Member answers are verified by multiplication at the view's equality;
-    order-finding failures are absorbed by re-running with fresh seeds, and
-    MemberUnverified is raised when every attempt fails verification.
+    The kernel `abelian_hsp` returns is exact, so a member answer is too;
+    it is still verified by multiplication at the view's equality, and a
+    failed verification is an InvariantBroken.
     """
     if not view.commuting(list(h_list) + [g]):
         raise NotCommuting("g and the generators must commute pairwise in the view")
-    attempts = 3
-    for _ in range(attempts):
-        sub = cfg.child("membership")
-        answer = _attempt(view, h_list, g, sub)
-        if not answer.member:
-            return answer
-        # verify by multiplication at the view's equality
-        x = view.identity()
-        for h, a in zip(h_list, answer.exponents.values):
-            x = view.multiply(x, view.power(h, a))
-        if view.key(x) == view.key(g):
-            return answer
-    raise MemberUnverified(f"no member answer passed verification in {attempts} attempts")
+    answer = _attempt(view, h_list, g, cfg.child("membership"))
+    if not answer.member:
+        return answer
+    x = view.identity()
+    for h, a in zip(h_list, answer.exponents.values):
+        x = view.multiply(x, view.power(h, a))
+    if view.key(x) != view.key(g):
+        raise InvariantBroken(f"member answer {answer.exponents.values} fails verification")
+    return answer
 
 
 def _attempt(view: GroupView, h_list: Sequence, g, cfg: SolverConfig) -> MembershipAnswer:

@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
-from .errors import ExpressFailure, QuotientNotAbelian
+from .errors import ExpressFailure, NotAbelian, QuotientNotAbelian
 from .linalg import LabelQuotientView, decompose_abelian
 from .membership import constructive_membership
 from .sim import SolverConfig
@@ -36,10 +36,10 @@ class NormalGenerators:
 
 def abelian_quotient_presentation(view: LabelQuotientView) -> AbelianPresentation:
     """Decompose G/N over the view's f-labels; generators are lifted to G-encodings."""
-    gens = view.group.generators
-    if not view.commuting(gens):
-        raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup")
-    dec = decompose_abelian(view, gens)
+    try:
+        dec = decompose_abelian(view, view.group.generators)
+    except NotAbelian as exc:
+        raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup") from exc
     return AbelianPresentation(list(dec.basis), dec.structure.moduli)
 
 

@@ -13,6 +13,9 @@ Two sampler backends produce uniform draws from H-perp:
   harness-privileged and tallied separately from solver queries.
 * ``statevector`` runs the five circuit steps literally on an explicit
   amplitude vector and measures the first register.
+
+Every answer of `abelian_hsp` is certified exact through the counted path;
+epsilon bounds only the chance of a failed certificate and extra sampling.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ class RngStream:
 
 @dataclass
 class SolverConfig:
-    """Per-solve configuration: failure budget, seed, and sampler kind."""
+    """Per-solve configuration: sampling epsilon, seed, and sampler kind."""
 
     epsilon: float = 2.0**-10
     seed: int = 0
@@ -91,12 +94,19 @@ class SolverConfig:
             raise HspError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
         self._rng: Optional[RngStream] = None
         self._child_counter = 0
+        self._streams: list[RngStream] = []  # the root's and every child's
 
     @property
     def rng(self) -> RngStream:
         if self._rng is None:
             self._rng = RngStream(self.seed)
+            self._streams.append(self._rng)
         return self._rng
+
+    @property
+    def draws(self) -> int:
+        """Draws of this config's root stream and of every derived stream."""
+        return sum(s.draws for s in self._streams)
 
     @property
     def stable_rounds(self) -> int:
@@ -109,7 +119,9 @@ class SolverConfig:
         mix = splitmix64(self.seed ^ splitmix64(self._child_counter))
         for ch in tag:
             mix = splitmix64(mix ^ ord(ch))
-        return SolverConfig(self.epsilon, mix, self.backend)
+        sub = SolverConfig(self.epsilon, mix, self.backend)
+        sub._streams = self._streams
+        return sub
 
 
 class QuantumFunctionOracle:
@@ -231,11 +243,13 @@ def annihilates(structure: AbelianStructure, c: Sequence[int], x: Sequence[int])
 
 
 def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, ...]]:
-    """Generators of the subgroup hidden by f, failure probability <= epsilon.
+    """Generators of the subgroup hidden by f, exactly.
 
-    Draws characters and maintains the joint kernel; stops once the kernel is
-    unchanged for ceil(log2(1/epsilon)) consecutive rounds (each fresh uniform
-    draw halves a strictly-too-large kernel with probability >= 1/2).
+    Draws characters and maintains the joint kernel, which always contains
+    H.  Once the kernel is unchanged for ceil(log2(1/epsilon)) consecutive
+    rounds it is certified: it equals H iff f(t) = f(0) for each of its
+    generators t (counted evals).  A failed certificate resets the count, so
+    epsilon bounds only the chance of extra rounds, never of a wrong answer.
     """
     structure = f.structure
     if not structure.moduli or structure.order == 1:
@@ -244,9 +258,17 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     samples: list[tuple[int, ...]] = []
     kernel_gens = list(_unit_tuples(structure))
     kernel_order = structure.order
+    base = None
     stable = 0
     rounds = 0
-    while stable < cfg.stable_rounds:
+    while True:
+        if stable >= cfg.stable_rounds:
+            gens = [t for t in kernel_gens if any(t)]
+            if base is None:
+                base = f.eval(structure.zero())
+            if all(f.eval(t) == base for t in gens):
+                return gens
+            stable = 0
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
@@ -261,7 +283,6 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
             raise InvariantBroken(f"kernel did not shrink: {new_order} >= {kernel_order}")
         kernel_order = new_order
         stable = 0
-    return [t for t in kernel_gens if any(t)]
 
 
 def _unit_tuples(structure: AbelianStructure):

@@ -4,8 +4,8 @@ elementary Abelian normal 2-subgroup with small or cyclic quotient.
 Query accounting: with the ideal sampler, quantum rounds are simulated on the
 harness side and exempt from solver accounting; the f-queries counted against
 the budgets below are the classical-control queries the solver itself issues
-(enumeration scans, baseline labels, label-keyed quotient arithmetic).  The
-solvers hand `sim` views (a `LabelQuotientView` of f, the group, a quotient)
+(enumeration scans, kernel certificates, label-keyed quotient arithmetic).
+The solvers hand `sim` views (a `LabelQuotientView` of f, the group, a quotient)
 and element maps; only `sim` derives the harness path from a view.
 """
 
@@ -28,8 +28,6 @@ from .errors import (
     BoundExceeded,
     BudgetExceeded,
     CommutatorBoundExceeded,
-    InvariantBroken,
-    NotCyclicQuotient,
     NotElementaryAbelian2,
     NotNormal,
     QuotientBoundExceeded,
@@ -64,7 +62,7 @@ class CosetPick:
 def commutator_query_budget(c: int, L: float, epsilon: float) -> int:
     """Documented closed-form f-query budget B1 for solve_small_commutator.
 
-    c = |G'|, L = log2 of the order bound, epsilon = failure budget.  The
+    c = |G'|, L = log2 of the order bound, epsilon = the sampling epsilon.  The
     dominant term is the label-keyed decomposition of G/HG' (at most
     q = 2^L / c coset classes, quadratic scan), each label costing c queries.
     """
@@ -79,7 +77,7 @@ def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
     """Documented closed-form f-query budget B2 for the elem2 solvers.
 
     v = |V| (coset representatives probed), n = |N|.  With the ideal sampler
-    only baselines and per-probe verification touch f directly.
+    only the certificates of each probe's Abelian HSP touch f directly.
     """
     r = max(1, ceil(log2(1.0 / epsilon)))
     return 8 * (v + 2) + 4 * r + n
@@ -94,7 +92,7 @@ def solve_abelian(
     dec = decompose_abelian(G, G.generators)
     gens = intersect_with_normal(dec, f, cfg)
     stats = QueryStats(
-        f.query_count - f_start, G.stats.group_ops - ops_start, cfg.rng.draws
+        f.query_count - f_start, G.stats.group_ops - ops_start, cfg.draws
     )
     return SubgroupResult(gens, stats, "abelian")
 
@@ -145,7 +143,7 @@ def solve_small_commutator(
     stats = QueryStats(
         f_queries=used,
         group_ops=G.stats.group_ops - ops_start,
-        rng_draws=cfg.rng.draws,
+        rng_draws=cfg.draws,
     )
     return SubgroupResult(gens, stats, "commutator", budget)
 
@@ -194,19 +192,8 @@ def coset_intersection_pick(
         x = dec.element_of(t[1:])
         return x if t[0] == 0 else G.multiply(x, z)
 
-    view = LabelQuotientView(G, f)
-    gens = abelian_hsp(QuantumFunctionOracle(structure, view, elem), cfg)
-    u = None
-    for t in gens:
-        if t[0] == 1:
-            u = dec.element_of(t[1:])
-            break
-    if u is not None:
-        pick = G.multiply(G.invert(u), z)
-        if f.eval(pick) != f.eval(G.identity()):
-            # failed sampling round (probability <= epsilon); retry once
-            gens = abelian_hsp(QuantumFunctionOracle(structure, view, elem), cfg.child("retry"))
-            u = next((dec.element_of(t[1:]) for t in gens if t[0] == 1), None)
+    gens = abelian_hsp(QuantumFunctionOracle(structure, LabelQuotientView(G, f), elem), cfg)
+    u = next((dec.element_of(t[1:]) for t in gens if t[0] == 1), None)
     return CosetPick(z, u)
 
 
@@ -237,7 +224,7 @@ def _solve_elem2(
     used = f.query_count - f_start
     if used > budget:
         raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
-    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.rng.draws)
+    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)
     return SubgroupResult(gens, stats, method, budget, coset_reps=reps)
 
 
@@ -267,53 +254,28 @@ def solve_elem2_cyclic(
     cfg: SolverConfig,
 ) -> SubgroupResult:
     """Hidden subgroup for cyclic G/N: V is assembled from powers of Sylow
-    generators of the quotient, so |V| stays logarithmic in |G/N|."""
+    generators of the quotient, so |V| stays logarithmic in |G/N|.
+
+    The quotient order q is the lcm of the generators' quotient orders, so
+    for each p^h exactly dividing q some generator g of quotient order o
+    carries the whole p-part, and x_p = g^(o/p^h) has quotient order p^h.
+    The chain x_p^(p^j), j < h, gives distinct non-trivial cosets."""
     from sympy import factorint
 
     def sylow_chains(qview: CosetQuotientView) -> list[GroupElement]:
-        id_key = qview.key(G.identity())
-
         def quotient_order(x: GroupElement) -> int:
             ambient = find_order(G, x, cfg.child("amb"), order_bound=G.order_hint)
             return find_order(qview, x, cfg.child("quot"), order_bound=ambient)
 
         orders = [quotient_order(g) for g in G.generators]
         q = lcm(*orders) if orders else 1
-
-        steps = list(G.generators) + [G.invert(g) for g in G.generators]
-
-        def random_element() -> GroupElement:
-            length = 16 + 2 * q.bit_length()
-            x = G.identity()
-            for _ in range(length):
-                x = G.multiply(x, cfg.rng.choice(steps))
-            return x
-
         reps = [G.identity()]
-        rep_keys = {id_key}
-        sylow_exponents = {}
         for p, h in sorted(factorint(q).items()):
             target = p**h
-            attempts = max(1, ceil(log2(1.0 / cfg.epsilon))) + 2
-            x_p = None
-            for _ in range(attempts):
-                cand = G.power(random_element(), q // target)
-                if quotient_order(cand) == target:
-                    x_p = cand
-                    break
-            if x_p is None:
-                raise NotCyclicQuotient(f"no generator found for the Sylow {p}-subgroup")
-            sylow_exponents[p] = h
+            o, g = next((o, g) for o, g in zip(orders, G.generators) if o % target == 0)
+            x_p = G.power(g, o // target)
             # powers x_p^(p^j) walk down the subgroup chain of the cyclic Sylow
-            for j in range(h):
-                cur = G.power(x_p, p**j)
-                k = qview.key(cur)
-                if k != id_key and k not in rep_keys:
-                    rep_keys.add(k)
-                    reps.append(cur)
-
-        if len(reps) > 1 + sum(sylow_exponents.values()):
-            raise InvariantBroken(f"{len(reps)} coset representatives exceed the Sylow chains")
+            reps += [G.power(x_p, p**j) for j in range(h)]
         return reps
 
     return _solve_elem2(G, n_gens, f, cfg, "elem2-cyclic", sylow_chains)

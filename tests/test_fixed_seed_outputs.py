@@ -1,0 +1,43 @@
+"""The comparison of two fixed-seed output dumps, on hand-made dumps."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "fixed_seed_outputs.py"
+spec = importlib.util.spec_from_file_location("fixed_seed_outputs", SCRIPT)
+fixed_seed_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fixed_seed_outputs)
+
+OLD = {
+    "a": [
+        {"gens": ["3:1"], "answer": "x", "f_queries": 4},
+        {"gens": ["3:2"], "answer": "y", "f_queries": 5},
+        {"error": "E", "answer": None},
+    ],
+    "b": [{"gens": [], "answer": "z"}],
+    "gone": [{"answer": "w"}],
+}
+NEW = {
+    "a": [
+        {"gens": ["3:2"], "answer": "x", "f_queries": 6},  # same subgroup
+        {"gens": ["3:2"], "answer": "y", "f_queries": 5},  # identical
+        {"gens": ["3:1"], "answer": "x"},  # an answer where there was none
+    ],
+    "b": [{"gens": [], "answer": "z"}, {"gens": [], "answer": "z"}],  # one extra
+}
+
+
+def test_differing_instances_counts_outputs_and_subgroups():
+    assert fixed_seed_outputs.differing_instances(OLD, NEW) == (4, 3)
+    assert fixed_seed_outputs.differing_instances(OLD, OLD) == (0, 0)
+
+
+def test_compare_prints_both_counts(tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(OLD))
+    new.write_text(json.dumps(NEW))
+    assert fixed_seed_outputs.main(["--compare", str(old), str(new)]) == 0
+    assert capsys.readouterr().out == "4 differing instances, 3 differing as subgroups\n"
+    assert fixed_seed_outputs.main(["--compare", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "identical\n"

@@ -3,7 +3,7 @@
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
-from hsplab.errors import MemberUnverified, NotCommuting
+from hsplab.errors import InvariantBroken, NotCommuting
 from hsplab.linalg import CosetQuotientView, LabelQuotientView
 from hsplab.membership import (
     ExponentTuple,
@@ -120,7 +120,7 @@ def test_mod_hidden_agrees_with_unique_when_n_trivial():
 
 def test_label_quotient_membership_counts_pinned():
     """One fixed-seed call modulo a hidden normal subgroup: the f-queries and
-    group operations it issues, recorded before membership took a view."""
+    group operations it issues, certificates of its kernels included."""
     G = d16_group()
     r, s = G.generators
     f = make_hiding_oracle(G, [G.power(r, 2)], seed=61)
@@ -128,7 +128,7 @@ def test_label_quotient_membership_counts_pinned():
     queries, ops = f.query_count, G.stats.group_ops
     ans = constructive_membership(LabelQuotientView(G, f), [r, s], g, SolverConfig(seed=62))
     assert ans.exponents == ExponentTuple((1, 1), (2, 2))
-    assert (f.query_count - queries, G.stats.group_ops - ops) == (14, 532)
+    assert (f.query_count - queries, G.stats.group_ops - ops) == (20, 548)
 
 
 def test_extract_expression_examples():
@@ -146,8 +146,8 @@ def test_extract_expression_trivial_s():
 
 
 def test_unverified_member_answer_raises(s8, monkeypatch):
-    """A member answer that fails verification on every attempt is an error,
-    not an answer."""
+    """A member answer that fails verification is a broken invariant, not an
+    answer: the kernel it was read from is certified exact."""
     from hsplab import membership
 
     h = GroupElement(s8.backend.encode(parse_cycles("(1 2 3 4 5)", 8)))
@@ -157,5 +157,5 @@ def test_unverified_member_answer_raises(s8, monkeypatch):
         return MembershipAnswer(True, ExponentTuple((1,), (5,)))
 
     monkeypatch.setattr(membership, "_attempt", wrong_exponents)
-    with pytest.raises(MemberUnverified):
+    with pytest.raises(InvariantBroken):
         constructive_membership(s8, [h], g, SolverConfig(seed=50))

@@ -117,6 +117,14 @@ def test_abelian_hsp_injective_oracle():
     assert abelian_hsp(f, cfg) == []
 
 
+def test_abelian_hsp_exact_at_large_epsilon():
+    """Z2^6 with the trivial subgroup hidden, epsilon = 1/4: every answer is
+    exact, though log2(1/epsilon) stable rounds alone miss often."""
+    f = label_oracle(AbelianStructure((2,) * 6), str)
+    for trial in range(400):
+        assert abelian_hsp(f, SolverConfig(0.25, seed=9_000 + trial)) == [], trial
+
+
 def test_label_view_oracle_counts_each_path_once():
     """Over a LabelQuotientView of f, eval is one counted f-query and peek
     one harness query, and both read the label of the mapped element."""
@@ -267,3 +275,16 @@ def test_solver_config_child_streams_differ():
     again = SolverConfig(seed=9)
     assert again.child("one").seed == c1.seed
     assert again.child("two").seed == c2.seed
+
+
+def test_solver_config_draws_counts_children():
+    """`draws` sums the root stream and every stream derived from it."""
+    cfg = SolverConfig(seed=9)
+    child = cfg.child("one")
+    grandchild = child.child("two")
+    cfg.rng.randrange(5)
+    child.rng.random()
+    grandchild.rng.randrange(3)
+    grandchild.rng.randrange(3)
+    assert (cfg.draws, child.draws, grandchild.draws) == (4, 4, 4)
+    assert SolverConfig(seed=9).draws == 0

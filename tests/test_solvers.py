@@ -123,6 +123,28 @@ def test_elem2_small_quotient_bound():
     assert len(result.coset_reps) == 8
 
 
+@pytest.mark.parametrize(
+    "G", [affine5_group(), make_group(GroupSpec(kind="wreath", k=3))], ids=["affine5", "wreath3"]
+)
+def test_elem2_small_exact_at_large_epsilon(G):
+    """At epsilon = 1/4 with the trivial subgroup hidden, every answer is the
+    trivial subgroup: the Abelian HSP certifies each kernel it returns."""
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    f = make_hiding_oracle(G, [], seed=71)
+    for run in range(100):
+        result = solve_elem2_small_quotient(G, n_gens, f, SolverConfig(0.25, seed=7_000 + run))
+        assert all(G.is_identity(x) for x in result.gens), run
+
+
+def test_commutator_solver_no_error_at_large_epsilon():
+    """At epsilon = 1/4 the commutator solver's memberships never fail."""
+    E = make_group(GroupSpec(kind="extraspecial", p=3))
+    f = make_hiding_oracle(E, [], seed=72)
+    for run in range(200):
+        result = solve_small_commutator(E, f, SolverConfig(0.25, seed=8_000 + run))
+        assert all(E.is_identity(x) for x in result.gens), run
+
+
 def test_check_elem2_normal_rejections(s8):
     from hsplab.specfile import parse_cycles
 
