@@ -111,13 +111,12 @@ def hidden_normal_subgroup(
     G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig
 ) -> NormalGenerators:
     """Generators of the hidden normal subgroup N: normal closure of the
-    relator values R0 and the generator quotients S0."""
+    relator values R0 and the generator quotients S0.  Both lie in N by
+    construction: R0 because the decomposition at f's labels found the
+    orders and checked commutation, S0 because each membership answer is
+    verified at those labels."""
     view = LabelQuotientView(G, f)
     p = abelian_quotient_presentation(view)
     r0 = relator_values(G, p)
     s0 = generator_quotients(view, p, cfg)
-    base_label = f.eval(G.identity())
-    for v in r0 + s0:
-        if f.eval(v) != base_label:
-            raise ExpressFailure("relator or quotient value escaped the hidden subgroup")
     return normal_closure(G, r0 + s0)

@@ -62,19 +62,24 @@ def splitmix64(x: int) -> int:
 
 
 class RngStream:
-    """Seeded RNG with a draw counter (rng_draws in QueryStats)."""
+    """Seeded RNG whose draws (rng_draws in QueryStats) are counted in
+    `tally`, a one-element list that every stream of one solve shares."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, tally: Optional[list[int]] = None):
         self.seed = seed
         self._rng = random.Random(seed)
-        self.draws = 0
+        self.tally = [0] if tally is None else tally
+
+    @property
+    def draws(self) -> int:
+        return self.tally[0]
 
     def randrange(self, n: int) -> int:
-        self.draws += 1
+        self.tally[0] += 1
         return self._rng.randrange(n)
 
     def random(self) -> float:
-        self.draws += 1
+        self.tally[0] += 1
         return self._rng.random()
 
     def choice(self, seq):
@@ -94,19 +99,18 @@ class SolverConfig:
             raise HspError(f"epsilon must be in (0, 1/2), got {self.epsilon}")
         self._rng: Optional[RngStream] = None
         self._child_counter = 0
-        self._streams: list[RngStream] = []  # the root's and every child's
+        self._tally = [0]  # draws of the root's stream and every child's
 
     @property
     def rng(self) -> RngStream:
         if self._rng is None:
-            self._rng = RngStream(self.seed)
-            self._streams.append(self._rng)
+            self._rng = RngStream(self.seed, self._tally)
         return self._rng
 
     @property
     def draws(self) -> int:
         """Draws of this config's root stream and of every derived stream."""
-        return sum(s.draws for s in self._streams)
+        return self._tally[0]
 
     @property
     def stable_rounds(self) -> int:
@@ -120,7 +124,7 @@ class SolverConfig:
         for ch in tag:
             mix = splitmix64(mix ^ ord(ch))
         sub = SolverConfig(self.epsilon, mix, self.backend)
-        sub._streams = self._streams
+        sub._tally = self._tally
         return sub
 
 
@@ -248,8 +252,12 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     Draws characters and maintains the joint kernel, which always contains
     H.  Once the kernel is unchanged for ceil(log2(1/epsilon)) consecutive
     rounds it is certified: it equals H iff f(t) = f(0) for each of its
-    generators t (counted evals).  A failed certificate resets the count, so
-    epsilon bounds only the chance of extra rounds, never of a wrong answer.
+    generators t (counted evals).  A kernel that fails is too large, so it
+    is not certified again; sampling goes on until it shrinks.  Epsilon
+    bounds only the chance of extra rounds, never of a wrong answer.  Each
+    certified kernel has at most k generators (k cyclic factors) and the
+    kernels strictly descend, so one call's certificates cost at most
+    1 + k * (1 + log2|A|) evals.
     """
     structure = f.structure
     if not structure.moduli or structure.order == 1:
@@ -259,16 +267,17 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     kernel_gens = list(_unit_tuples(structure))
     kernel_order = structure.order
     base = None
+    refuted = False  # the current kernel failed its certificate
     stable = 0
     rounds = 0
     while True:
-        if stable >= cfg.stable_rounds:
+        if stable >= cfg.stable_rounds and not refuted:
             gens = [t for t in kernel_gens if any(t)]
             if base is None:
                 base = f.eval(structure.zero())
             if all(f.eval(t) == base for t in gens):
                 return gens
-            stable = 0
+            refuted = True
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
@@ -282,6 +291,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
         if new_order >= kernel_order:
             raise InvariantBroken(f"kernel did not shrink: {new_order} >= {kernel_order}")
         kernel_order = new_order
+        refuted = False
         stable = 0
 
 

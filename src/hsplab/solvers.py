@@ -28,9 +28,11 @@ from .errors import (
     BoundExceeded,
     BudgetExceeded,
     CommutatorBoundExceeded,
+    NotCommuting,
     NotElementaryAbelian2,
     NotNormal,
     QuotientBoundExceeded,
+    UnsupportedInstance,
 )
 from .linalg import (
     AbelianDecomposition,
@@ -40,6 +42,7 @@ from .linalg import (
     decompose_abelian,
     view_closure,
 )
+from .membership import constructive_membership
 from .normalsub import commutator_subgroup, hidden_normal_subgroup
 from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
 
@@ -76,11 +79,16 @@ def commutator_query_budget(c: int, L: float, epsilon: float) -> int:
 def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
     """Documented closed-form f-query budget B2 for the elem2 solvers.
 
-    v = |V| (coset representatives probed), n = |N|.  With the ideal sampler
-    only the certificates of each probe's Abelian HSP touch f directly.
+    v = |V| (coset representatives, the identity included), n = |N|.  With
+    the ideal sampler only the kernel certificates touch f directly: one
+    Abelian HSP finds H on N and one probes each of the other v - 1
+    representatives, over Z2 x N, of rank rho = 1 + log2 n.  Each call
+    certifies at most rho + 1 descending kernels of at most rho generators,
+    after f(0) once: 1 + rho * (rho + 1) evals.
     """
     r = max(1, ceil(log2(1.0 / epsilon)))
-    return 8 * (v + 2) + 4 * r + n
+    rho = n.bit_length()
+    return 8 * (v + 2) + 4 * r + n + v * (1 + rho * (rho + 1))
 
 
 def solve_abelian(
@@ -259,7 +267,11 @@ def solve_elem2_cyclic(
     The quotient order q is the lcm of the generators' quotient orders, so
     for each p^h exactly dividing q some generator g of quotient order o
     carries the whole p-part, and x_p = g^(o/p^h) has quotient order p^h.
-    The chain x_p^(p^j), j < h, gives distinct non-trivial cosets."""
+    The chain x_p^(p^j), j < h, gives distinct non-trivial cosets.
+
+    Cyclicity is certified, not assumed: G/N is cyclic iff every generator
+    lies in <x>N for x the product of the x_p, tested by constructive
+    membership in G/N; otherwise UnsupportedInstance is raised."""
     from sympy import factorint
 
     def sylow_chains(qview: CosetQuotientView) -> list[GroupElement]:
@@ -270,12 +282,23 @@ def solve_elem2_cyclic(
         orders = [quotient_order(g) for g in G.generators]
         q = lcm(*orders) if orders else 1
         reps = [G.identity()]
+        x = G.identity()
         for p, h in sorted(factorint(q).items()):
             target = p**h
             o, g = next((o, g) for o, g in zip(orders, G.generators) if o % target == 0)
             x_p = G.power(g, o // target)
+            x = G.multiply(x, x_p)
             # powers x_p^(p^j) walk down the subgroup chain of the cyclic Sylow
             reps += [G.power(x_p, p**j) for j in range(h)]
+        for o, g in zip(orders, G.generators):
+            if o == 1:
+                continue  # g lies in N
+            try:
+                member = constructive_membership(qview, [x], g, cfg.child("cyclic")).member
+            except NotCommuting:
+                member = False
+            if not member:
+                raise UnsupportedInstance("G/N is not cyclic: elem2-cyclic does not apply")
         return reps
 
     return _solve_elem2(G, n_gens, f, cfg, "elem2-cyclic", sylow_chains)

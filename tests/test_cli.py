@@ -6,9 +6,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hsplab import sim, solvers
+from hsplab import cli, sim, solvers
 from hsplab.cli import RunConfig, main, run, run_suite
+from hsplab.core import HidingOracle, make_group
 from hsplab.errors import BadSpec
+from hsplab.specfile import parse_group_spec
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -259,3 +261,33 @@ def test_golden_reports(tmp_path, case):
     assert sorted(report) == sorted(case["report"])
     for field, value in case["report"].items():
         assert report[field] == value, field
+
+
+def test_elem2_budget_covers_certificates_with_h_equal_to_g(tmp_path, monkeypatch):
+    """Two affine k=4 factors with H = G: N = Z2^8 and |G/N| = 225, so each of
+    the 224 probes certifies all of Z2 x N at 10 f-queries, 2,249 in all,
+    which B2 must cover.  Enumerating H = G (57,600 elements) and the
+    harness's collision search would take minutes, so f and the hidden
+    subgroups of the probes are given their H = G values directly."""
+    part = GOLDEN["specs"]["affine4.grp"]
+    (tmp_path / "affine4.grp").write_text(part)
+    (tmp_path / "p.grp").write_text("kind = product\npart = affine4.grp\npart = affine4.grp\n")
+    G = make_group(parse_group_spec(part))
+    gens = [a.bits + G.identity().bits for a in G.generators]
+    gens += [G.identity().bits + a.bits for a in G.generators]
+
+    def whole_group_oracle(G, h_gens, seed=0):
+        f = HidingOracle(G, [G.identity()], seed)
+        f._label = lambda g: "G"  # one coset
+        return f
+
+    monkeypatch.setattr(cli, "make_hiding_oracle", whole_group_oracle)
+    monkeypatch.setattr(
+        sim.QuantumFunctionOracle,
+        "hidden_subgroup_gens",
+        lambda self: list(sim._unit_tuples(self.structure)),
+    )
+    code, report = run(RunConfig(str(tmp_path / "p.grp"), hidden=",".join(gens), seed=1))
+    assert code == 0, report.get("error")
+    assert report["method"] == "elem2-small"
+    assert report["stats"]["f_queries"] == 2249

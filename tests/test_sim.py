@@ -125,6 +125,23 @@ def test_abelian_hsp_exact_at_large_epsilon():
         assert abelian_hsp(f, SolverConfig(0.25, seed=9_000 + trial)) == [], trial
 
 
+@pytest.mark.parametrize("moduli", [(2,) * 6, (4, 6)])
+def test_abelian_hsp_certificate_cost_bounded(moduli):
+    """At epsilon = 1/4 certificates often fail, yet one call's counted evals
+    stay within 1 + k * (1 + log2|A|), the per-call cost the elem2 budget
+    charges: a kernel that fails is not certified again."""
+    A = AbelianStructure(moduli)
+    f = label_oracle(A, str)
+    counted = f.eval
+    evals = []
+    f.eval = lambda t: evals.append(t) or counted(t)
+    bound = 1 + len(moduli) * (1 + math.log2(A.order))
+    for trial in range(400):
+        evals.clear()
+        assert abelian_hsp(f, SolverConfig(0.25, seed=9_500 + trial)) == [], trial
+        assert len(evals) <= bound, trial
+
+
 def test_label_view_oracle_counts_each_path_once():
     """Over a LabelQuotientView of f, eval is one counted f-query and peek
     one harness query, and both read the label of the mapped element."""

@@ -3,7 +3,12 @@
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
-from hsplab.errors import NotElementaryAbelian2, NotNormal, QuotientBoundExceeded
+from hsplab.errors import (
+    NotElementaryAbelian2,
+    NotNormal,
+    QuotientBoundExceeded,
+    UnsupportedInstance,
+)
 from hsplab.linalg import decompose_abelian
 from hsplab.sim import RngStream, SolverConfig
 from hsplab.solvers import (
@@ -199,6 +204,17 @@ def test_affine4_cyclic_solver_and_v_bound():
     # |V| <= 1 + h_3 + h_5 = 3 for |G/N| = 15
     assert result.coset_reps is not None
     assert len(result.coset_reps) <= 3
+
+
+def test_elem2_cyclic_refuses_noncyclic_quotient():
+    """Two wreath k=2 factors give G/N = Z2 x Z2, which the Sylow chain of
+    one swap does not cover: with H = <second swap> the solver would miss
+    H, so it certifies cyclicity and refuses the instance."""
+    G = make_group(GroupSpec(kind="product", parts=[GroupSpec(kind="wreath", k=2)] * 2))
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    f = make_hiding_oracle(G, [G.generators[-1]], seed=79)
+    with pytest.raises(UnsupportedInstance, match="not cyclic"):
+        solve_elem2_cyclic(G, n_gens, f, SolverConfig(seed=80))
 
 
 def test_affine5_small_quotient_solver():
