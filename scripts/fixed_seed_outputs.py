@@ -15,8 +15,8 @@ subgroup the returned generators generate, or null on an error.  Two trees
 that compute the same thing write byte-identical files.
 
 The second form prints ``identical``, or the number of instances whose
-outputs differ and the number whose answers differ as subgroups, and exits 0
-either way.
+outputs differ and the number whose answers differ as subgroups, followed by
+each pool's mean ``f_queries``, old -> new; it exits 0 either way.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
@@ -120,6 +121,18 @@ def differing_instances(old: dict, new: dict) -> tuple[int, int]:
     return outputs, answers
 
 
+def mean_f_queries(pool: list) -> Optional[float]:
+    """Mean f_queries over a pool's answered instances (a cli-suite record
+    keeps them in its report's stats); None when none has any."""
+    counts = [r.get("report", r).get("stats", r).get("f_queries") for r in pool]
+    counts = [c for c in counts if c is not None]
+    return sum(counts) / len(counts) if counts else None
+
+
+def _mean_text(mean: Optional[float]) -> str:
+    return "-" if mean is None else f"{mean:.1f}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", type=Path, help="JSON file to write")
@@ -132,6 +145,9 @@ def main(argv=None) -> int:
             print("identical")
         else:
             print(f"{outputs} differing instances, {answers} differing as subgroups")
+            for pool in sorted(set(old) | set(new)):
+                means = (_mean_text(mean_f_queries(d.get(pool, []))) for d in (old, new))
+                print("{}: mean f_queries {} -> {}".format(pool, *means))
         return 0
     if args.out is None:
         parser.error("give OUT.json or --compare OLD NEW")

@@ -2,7 +2,8 @@
 solver, optionally verify against the brute-force oracle, and emit a JSON
 report.
 
-Exit codes: 0 success, 1 solver error, 2 verification mismatch, 3 spec error.
+Exit codes: 0 success, 1 solver error, 2 verification mismatch, 3 spec error
+(a hidden subgroup larger than the enumeration bound included).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
     make_group,
     make_hiding_oracle,
 )
-from .errors import BadSpec, HspError, InvalidEncoding, UnsupportedInstance
+from .errors import BadSpec, HspError, UnsupportedInstance
 from .normalsub import commutator_subgroup, hidden_normal_subgroup
 from .sim import SolverConfig, splitmix64
 from .solvers import (
@@ -135,7 +136,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
         G = make_group(spec)
         h_gens = parse_hidden(G, config.hidden, Path(config.group_path).parent)
         f = make_hiding_oracle(G, h_gens, seed=splitmix64(config.seed))
-    except (BadSpec, InvalidEncoding, OSError, UnicodeDecodeError) as exc:
+    except (HspError, OSError, UnicodeDecodeError) as exc:
         report["error"] = f"spec error: {exc}"
         report["wall_time_s"] = time.monotonic() - started
         return 3, report

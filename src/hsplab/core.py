@@ -358,12 +358,8 @@ class ExtraSpecialBackend(_MixedRadixBackend):
     kind = "extraspecial"
 
     def __init__(self, p: int, variant: str = "exponent-p"):
-        from sympy import isprime
-
-        if p == 2 or not isprime(p):
-            raise BadSpec(f"extra-special backend needs an odd prime, got {p}")
-        if p > 31:
-            raise BadSpec(f"unsupported extra-special prime {p}")
+        if not 2 < p <= 31 or _factor(p) != {p: 1}:
+            raise BadSpec(f"extra-special backend needs an odd prime up to 31, got {p}")
         if variant not in ("exponent-p", "exponent-p2"):
             raise BadSpec(f"unknown extra-special variant {variant!r}")
         self.p = p
@@ -677,6 +673,22 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
         return BlackBoxGroup(backend, gens, meta)
 
     raise BadSpec(f"unknown group kind {spec.kind!r}")
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: a} of n >= 1, primes in increasing order, by
+    trial division.  Every n factored divides an order hint or an enumerated
+    order, whose primes are at most 2^20, so no faster method is needed."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _order_of(x, multiply: Callable, at_identity: Callable, cap: int) -> int:

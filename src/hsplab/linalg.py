@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .errors import InvariantBroken, NotAbelian
+from .errors import BoundExceeded, InvariantBroken, NotAbelian
 from .core import (
     BlackBoxGroup,
     GroupElement,
     GroupView,
     _closure,
     _coset_keys,
-    _order_of,
+    _factor,
     enum_bound,
 )
 
@@ -339,114 +339,77 @@ def view_closure(view: GroupView, seeds, bound: Optional[int] = None):
 
 
 class AbelianDecomposition:
-    """Isomorphism of an Abelian (sub)group with a product of cyclic groups
-    of prime power order, with bidirectional element <-> tuple tables."""
+    """Isomorphism of the Abelian group <g_1..g_k> with a product of cyclic
+    groups of prime-power order.
 
-    def __init__(self, view: GroupView, structure: AbelianStructure, basis, to_tuple, elements):
+    Every element is one word g_1^e_1 ... g_k^e_k with 0 <= e_i < r_i, where
+    r_i is the least power of g_i that lies in <g_1..g_{i-1}>.  The rows
+    `relations`, r_i u_i minus the exponents of g_i^r_i, are triangular and
+    generate every relation among the generators.  With U R V = D the Smith
+    normal form of that matrix, a word's tuple is its exponent row times V,
+    taken modulo each prime-power part of the invariant factors in turn."""
+
+    def __init__(self, view: GroupView, table: dict, relations: Matrix):
         self.view = view
-        self.structure = structure
-        self.basis = basis  # elements whose orders are the prime-power moduli
-        self._to_tuple = to_tuple  # view key -> tuple
-        self._from_tuple = {}
-        self.elements = elements
-        for key, t in to_tuple.items():
-            self._from_tuple.setdefault(t, key)
-        self._element_by_key = {view.key(x): x for x in elements}
+        self.relations = relations
+        parts, V = [], []  # parts: (column of V, prime-power modulus)
+        if relations:
+            _, D, V = smith_normal_form(relations)
+            for i in range(len(relations)):
+                parts += [(i, p**a) for p, a in _factor(D[i][i]).items()]
+        self.structure = AbelianStructure(tuple(q for _, q in parts))
+        self._to_tuple = {}  # view key -> tuple
+        self._from_tuple = {}  # tuple -> element
+        for key, (exponents, x) in table.items():
+            t = tuple(sum(e * V[j][i] for j, e in enumerate(exponents)) % q for i, q in parts)
+            self._to_tuple[key] = t
+            self._from_tuple[t] = x
+        if len(self._from_tuple) != len(table):
+            raise InvariantBroken(
+                f"decomposition covers {len(self._from_tuple)} of {len(table)} elements"
+            )
+        self.basis = [self.element_of(u) for u in identity_matrix(len(parts))]
 
     def tuple_of(self, x) -> tuple[int, ...]:
         return self._to_tuple[self.view.key(x)]
 
     def element_of(self, t: Sequence[int]):
-        t = self.structure.reduce(t)
-        return self._element_by_key[self._from_tuple[t]]
+        return self._from_tuple[self.structure.reduce(t)]
 
 
-def decompose_abelian(
-    view: GroupView,
-    gens: Sequence,
-    bound: Optional[int] = None,
-) -> AbelianDecomposition:
-    """Decompose the Abelian group generated by `gens` (classical stand-in for
-    the quantum decomposition of Abelian black-box groups; quantum-replaceable).
+def decompose_abelian(view: GroupView, gens: Sequence) -> AbelianDecomposition:
+    """Decompose the Abelian group generated by `gens` in one pass (classical
+    stand-in for the quantum decomposition of Abelian black-box groups).
 
-    `view` is a BlackBoxGroup or a quotient view.  Raises NotAbelian if the
-    generators do not commute, BoundExceeded past the enumeration bound.
+    Each generator is powered until it lands in the table of the group its
+    predecessors generate, and the table is extended by its lower powers;
+    one Smith normal form of the triangular relations gives the structure.
+    The view's key is called at most 2|<gens>| + k^2 - 1 times for k
+    generators, k^2 - k of them by the commute check.  `view` is a
+    BlackBoxGroup or a quotient view.  Raises NotAbelian if the generators
+    do not commute, BoundExceeded if |<gens>| exceeds the enumeration bound.
     """
     gens = list(gens)
     if not view.commuting(gens):
         raise NotAbelian("generators do not commute")
-    elements = view_closure(view, gens, bound)
-    order = len(elements)
-    id_key = view.key(view.identity())
-
-    def at_identity(y) -> bool:
-        return view.key(y) == id_key
-
-    # Invariant-factor basis: repeatedly pick a coset of maximal order in
-    # G/<chosen> and fix the lift so its order in G matches the coset order.
-    chosen = []
-    k_elements = [view.identity()]
-    k_keys = {id_key}
-    invariant_orders = []
-    while len(k_elements) < order:
-        best, best_t = None, 0
-        for x in elements:
-            kx = view.key(x)
-            if kx in k_keys:
-                continue
-            cur = x
-            t = 1
-            while view.key(cur) not in k_keys:
-                cur = view.multiply(cur, x)
-                t += 1
-            if t > best_t:
-                best, best_t = x, t
-        lift = None
-        for h in k_elements:
-            cand = view.multiply(best, h)
-            if _order_of(cand, view.multiply, at_identity, order) == best_t:
-                lift = cand
-                break
-        if lift is None:
-            raise InvariantBroken("no maximal-order lift, though the group is Abelian")
-        chosen.append(lift)
-        invariant_orders.append(best_t)
-        k_elements = view_closure(view, chosen, bound)
-        k_keys = {view.key(x) for x in k_elements}
-
-    # Split invariant factors into prime-power cyclic components.
-    from sympy import factorint
-
-    basis = []
-    moduli = []
-    for b, m in zip(chosen, invariant_orders):
-        for p, a in sorted(factorint(m).items()):
-            q = p**a
-            basis.append(view.power(b, m // q))
-            moduli.append(q)
-    structure = AbelianStructure(tuple(moduli))
-
-    # Build the bidirectional tables by enumerating all exponent tuples.
-    to_tuple: dict = {id_key: structure.zero()}  # view key -> tuple
-    reps = {structure.zero(): view.identity()}
-    frontier = [structure.zero()]
-    units = []
-    for i in range(len(moduli)):
-        unit = [0] * len(moduli)
-        unit[i] = 1
-        units.append(tuple(unit))
-    while frontier:
-        nxt = []
-        for t in frontier:
-            x = reps[t]
-            for i, u in enumerate(units):
-                t2 = structure.add(t, u)
-                if t2 not in reps:
-                    y = view.multiply(x, basis[i])
-                    reps[t2] = y
-                    to_tuple[view.key(y)] = t2
-                    nxt.append(t2)
-        frontier = nxt
-    if len(to_tuple) != order:
-        raise InvariantBroken(f"decomposition tables cover {len(to_tuple)} of {order} elements")
-    return AbelianDecomposition(view, structure, basis, to_tuple, elements)
+    bound = enum_bound()
+    k = len(gens)
+    identity = view.identity()
+    table = {view.key(identity): ((0,) * k, identity)}  # key -> (exponents, element)
+    relations = []
+    for i, g in enumerate(gens):
+        powers = [identity]  # g^0 .. g^(r-1)
+        x = g
+        while (kx := view.key(x)) not in table:
+            if len(table) * (len(powers) + 1) > bound:
+                raise BoundExceeded(f"|<gens>| exceeds bound {bound}")
+            powers.append(x)
+            x = view.multiply(x, g)
+        relation = [-e for e in table[kx][0]]
+        relation[i] += len(powers)
+        relations.append(relation)
+        for exponents, s in list(table.values()):
+            for j in range(1, len(powers)):
+                y = view.multiply(s, powers[j])
+                table[view.key(y)] = (exponents[:i] + (j,) + exponents[i + 1 :], y)
+    return AbelianDecomposition(view, table, relations)

@@ -107,7 +107,7 @@ def _phi_oracle(
         return view.multiply(x, g_table[t[-1]])
 
     images = list(h_list) + [g_inv]
-    return QuantumFunctionOracle(structure, view, elem, _kernel_provider(view, images, structure))
+    return QuantumFunctionOracle(structure, view, elem, _kernel_provider(view, images))
 
 
 def constructive_membership(

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import GroupView
+from .core import GroupView, _factor
 from .errors import (
     HspError,
     InvariantBroken,
@@ -41,7 +41,6 @@ from .linalg import (
     QuotientView,
     decompose_abelian,
     dual_subgroup,
-    hom_kernel,
     solve_character_kernel,
     subgroup_elements,
     subgroup_order,
@@ -305,11 +304,9 @@ def _unit_tuples(structure: AbelianStructure):
 
 def order_from_multiple(view: GroupView, g, m: int) -> int:
     """Exact order of g given a multiple m of it (harness-side shortcut)."""
-    from sympy import factorint
-
     id_key = view.hkey(view.identity())
     d = m
-    for p in factorint(m):
+    for p in _factor(m):
         while d % p == 0 and view.hkey(view.power(g, d // p)) == id_key:
             d //= p
     return d
@@ -339,17 +336,12 @@ class _HarnessView(QuotientView):
         return self.group.hkey(a)
 
 
-def _kernel_provider(view: GroupView, images: Sequence, structure: AbelianStructure) -> Callable:
-    """Harness provider for the kernel of t -> prod images_i^t_i over
-    `structure`: decompose the Abelian group the images generate at the
-    view's harness key and solve the congruence kernel exactly."""
-
-    def provider():
-        dec = decompose_abelian(_HarnessView(view), images)
-        rows = [dec.tuple_of(x) for x in images]
-        return hom_kernel(structure.moduli, rows, dec.structure)
-
-    return provider
+def _kernel_provider(view: GroupView, images: Sequence) -> Callable:
+    """Harness provider for the kernel of t -> prod images_i^t_i over a
+    structure whose moduli are multiples of the images' orders: the
+    relations among the images, found by decomposing the group they
+    generate at the view's harness key, generate that kernel once reduced."""
+    return lambda: decompose_abelian(_HarnessView(view), images).relations
 
 
 def find_order(

@@ -21,6 +21,7 @@ from .core import (
     GroupElement,
     HidingOracle,
     QueryStats,
+    _factor,
     enumerate_closure,
     enum_bound,
 )
@@ -62,17 +63,24 @@ class CosetPick:
     u: Optional[GroupElement] = None  # element of N with u^-1 z in H
 
 
-def commutator_query_budget(c: int, L: float, epsilon: float) -> int:
+def commutator_query_budget(c: int, L: float, epsilon: float, k: int) -> int:
     """Documented closed-form f-query budget B1 for solve_small_commutator.
 
-    c = |G'|, L = log2 of the order bound, epsilon = the sampling epsilon.  The
-    dominant term is the label-keyed decomposition of G/HG' (at most
-    q = 2^L / c coset classes, quadratic scan), each label costing c queries.
+    c = |G'|, L = log2 of the order bound, epsilon = the sampling epsilon,
+    k = the number of generators of G.  Each label of G/HG' costs c queries.
+    The decomposition of G/HG' from the k generators makes at most
+    2|G/HG'| + k^2 - 1 label calls: k^2 - k for the commute check, one for
+    the identity, r_1 + ... + r_k <= |G/HG'| + k - 1 for the powers and
+    |G/HG'| - 1 for the table.  With |G/HG'| <= |G|/c <= q = 2^L / c, that
+    is at most 2q + k^2 labels.  The terms 16q and 12(L + r + 8), with
+    r = ceil(log2(1/epsilon)), are kept from the earlier budget: they cover
+    the membership and order-finding calls at the labels and their kernel
+    certificates.  f_direct covers the direct scans of G' and of each coset.
     """
     q = max(1.0, 2.0**L / c)
     r = max(1, ceil(log2(1.0 / epsilon)))
     f_direct = (c + 1) + (L + 8) * c  # intersection scan + coset scans
-    f_labels = c * (8 * q * q + 16 * q + 12 * (L + r + 8))
+    f_labels = c * (2 * q + k * k + 16 * q + 12 * (L + r + 8))
     return int(f_direct + f_labels)
 
 
@@ -143,7 +151,7 @@ def solve_small_commutator(
     gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(
-        len(g_prime), max(1.0, log2(order_bound)), cfg.epsilon
+        len(g_prime), max(1.0, log2(order_bound)), cfg.epsilon, len(G.generators)
     )
     used = f.query_count - f_start
     if used > budget:
@@ -272,7 +280,6 @@ def solve_elem2_cyclic(
     Cyclicity is certified, not assumed: G/N is cyclic iff every generator
     lies in <x>N for x the product of the x_p, tested by constructive
     membership in G/N; otherwise UnsupportedInstance is raised."""
-    from sympy import factorint
 
     def sylow_chains(qview: CosetQuotientView) -> list[GroupElement]:
         def quotient_order(x: GroupElement) -> int:
@@ -283,7 +290,7 @@ def solve_elem2_cyclic(
         q = lcm(*orders) if orders else 1
         reps = [G.identity()]
         x = G.identity()
-        for p, h in sorted(factorint(q).items()):
+        for p, h in _factor(q).items():
             target = p**h
             o, g = next((o, g) for o, g in zip(orders, G.generators) if o % target == 0)
             x_p = G.power(g, o // target)

@@ -220,6 +220,19 @@ def test_bad_max_enum_exits_3(group_dir, monkeypatch, value):
     assert "HSPLAB_MAX_ENUM" in json.loads(out.read_text())["error"]
 
 
+def test_hidden_subgroup_past_the_bound_exits_3(group_dir, monkeypatch):
+    """The hiding oracle enumerates H; H = G of order 27 past a bound of 8 is
+    a spec error, not a traceback."""
+    monkeypatch.setenv("HSPLAB_MAX_ENUM", "8")
+    code, report = run(RunConfig(str(group_dir / "es3.grp"), hidden="010000,000100"))
+    assert code == 3
+    assert report["error"].startswith("spec error") and "bound 8" in report["error"]
+    out = group_dir / "report.json"
+    code = main(["--group", str(group_dir / "es3.grp"), "--hidden", "010000,000100", "--report", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["error"].startswith("spec error")
+
+
 def test_broken_guarantees_exit_1(group_dir, monkeypatch):
     """A budget overrun and a broken invariant are solver errors, exit 1."""
     with monkeypatch.context() as m:

@@ -11,6 +11,7 @@ import pytest
 import hsplab
 from hsplab.core import (
     GroupElement,
+    _factor,
     GroupSpec,
     enum_bound,
     enumerate_closure,
@@ -232,11 +233,21 @@ def test_make_group_orders():
     assert len(enumerate_closure(tiny, tiny.generators)) == 2
 
 
+def test_factor_matches_sympy():
+    from sympy import factorint
+
+    for n in range(1, 2**14 + 1):
+        assert _factor(n) == factorint(n), n
+        assert list(_factor(n)) == sorted(factorint(n)), n
+
+
 def test_make_group_rejects_bad_specs():
     with pytest.raises(BadSpec):
         make_group(GroupSpec(kind="extraspecial", p=4))
     with pytest.raises(BadSpec):
         make_group(GroupSpec(kind="extraspecial", p=2))
+    with pytest.raises(BadSpec):
+        make_group(GroupSpec(kind="extraspecial", p=37))
     with pytest.raises(BadSpec):
         # singular upper-left block for the affine family
         make_group(

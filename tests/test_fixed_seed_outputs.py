@@ -38,6 +38,19 @@ def test_compare_prints_both_counts(tmp_path, capsys):
     old.write_text(json.dumps(OLD))
     new.write_text(json.dumps(NEW))
     assert fixed_seed_outputs.main(["--compare", str(old), str(new)]) == 0
-    assert capsys.readouterr().out == "4 differing instances, 3 differing as subgroups\n"
+    assert capsys.readouterr().out == (
+        "4 differing instances, 3 differing as subgroups\n"
+        "a: mean f_queries 4.5 -> 5.5\n"
+        "b: mean f_queries - -> -\n"
+        "gone: mean f_queries - -> -\n"
+    )
     assert fixed_seed_outputs.main(["--compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out == "identical\n"
+
+
+def test_mean_f_queries_reads_solver_and_cli_records():
+    solver = [{"f_queries": 2}, {"f_queries": 7}, {"error": "E", "answer": None}]
+    cli = [{"report": {"stats": {"f_queries": 3}}}, {"report": {"error": "spec error"}}]
+    assert fixed_seed_outputs.mean_f_queries(solver) == 4.5
+    assert fixed_seed_outputs.mean_f_queries(cli) == 3.0
+    assert fixed_seed_outputs.mean_f_queries([]) is None

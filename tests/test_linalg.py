@@ -5,16 +5,21 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group
-from hsplab.errors import NotAbelian
+from sympy import factorint
+
+from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
+from hsplab.errors import BoundExceeded, NotAbelian
 from hsplab.linalg import (
     AbelianStructure,
+    CosetQuotientView,
+    LabelQuotientView,
     decompose_abelian,
     dual_subgroup,
     smith_normal_form,
     solve_character_kernel,
     subgroup_elements,
     subgroup_order,
+    view_closure,
 )
 
 
@@ -177,22 +182,84 @@ def test_decompose_trivial_and_z2k():
     assert tuple(sorted(dec.structure.moduli)) == (2, 2, 2, 2)
 
 
-def test_decompose_gives_isomorphism():
-    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
-    dec = decompose_abelian(G, G.generators)
+def _abelian(moduli, padded=False):
+    """Z_moduli, with the identity and every generator twice when padded."""
+    G = make_group(GroupSpec(kind="abelian", moduli=moduli))
+    return G, G, [G.identity()] + G.generators * 2 if padded else G.generators
+
+
+def _es3_mod_centre(label: bool):
+    """es(3) modulo its centre, by enumerated cosets or by f-labels, with the
+    identity and a repeated generator among the generators."""
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    a, b = G.generators
+    if label:
+        view = LabelQuotientView(G, make_hiding_oracle(G, [G.commutator(a, b)], seed=3))
+    else:
+        view = CosetQuotientView(G, enumerate_closure(G, [G.commutator(a, b)]))
+    return G, view, [a, G.identity(), b, a]
+
+
+DECOMPOSITIONS = {
+    "z4xz6": lambda: _abelian((4, 6), padded=True),
+    "z2^4": lambda: _abelian((2, 2, 2, 2)),
+    "z3xz9xz9": lambda: _abelian((3, 9, 9)),
+    "es3-cosets": lambda: _es3_mod_centre(label=False),
+    "es3-labels": lambda: _es3_mod_centre(label=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITIONS))
+def test_decompose_gives_isomorphism(case):
+    G, view, gens = DECOMPOSITIONS[case]()
+    dec = decompose_abelian(view, gens)
     A = dec.structure
-    assert A.order == 24
+    order = len(view_closure(view, gens))
+    assert all(len(factorint(m)) == 1 for m in A.moduli)
+    assert A.order == order
+    # bijective
     keys = set()
     for t in A.elements():
-        g = dec.element_of(t)
-        keys.add(G.key(g))
-        assert dec.tuple_of(g) == t
-    assert len(keys) == 24
-    for s in [(1, 2, 1), (3, 0, 1)]:
-        for t in [(2, 2, 0), (1, 1, 1)]:
-            lhs = dec.element_of(A.add(s, t))
-            rhs = G.multiply(dec.element_of(s), dec.element_of(t))
-            assert G.equal(lhs, rhs)
+        x = dec.element_of(t)
+        keys.add(view.key(x))
+        assert dec.tuple_of(x) == t
+    assert len(keys) == order
+    # a homomorphism: adding a unit tuple is multiplying by its basis element
+    for t in A.elements():
+        for i, b in enumerate(dec.basis):
+            unit = tuple(int(i == j) for j in range(len(A.moduli)))
+            assert view.equal(dec.element_of(A.add(t, unit)), view.multiply(dec.element_of(t), b))
+    # the relation rows hold among the generators, and they generate every
+    # relation: their lattice has index |<gens>|
+    for row in dec.relations:
+        x = G.identity()
+        for g, e in zip(gens, row):
+            x = view.multiply(x, view.power(g, e))
+        assert view.is_identity(x)
+    assert abs(det(dec.relations)) == order
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_decompose_label_queries_linear_in_the_group(p):
+    """Modulo the centre of es(p), over f-labels, the one pass makes at most
+    2|<gens>| + k^2 - 1 f-queries for k generators."""
+    G = make_group(GroupSpec(kind="extraspecial", p=p))
+    a, b = G.generators
+    f = make_hiding_oracle(G, [G.commutator(a, b)], seed=p)
+    gens = [a, b, G.multiply(a, b), G.identity()]
+    before = f.query_count
+    dec = decompose_abelian(LabelQuotientView(G, f), gens)
+    assert dec.structure.order == p * p
+    assert f.query_count - before <= 2 * p * p + len(gens) ** 2 - 1
+
+
+def test_decompose_bound_is_the_group_order(monkeypatch):
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    monkeypatch.setenv("HSPLAB_MAX_ENUM", "23")
+    with pytest.raises(BoundExceeded):
+        decompose_abelian(G, G.generators)
+    monkeypatch.setenv("HSPLAB_MAX_ENUM", "24")
+    assert decompose_abelian(G, G.generators).structure.order == 24
 
 
 def test_decompose_rejects_nonabelian(s8):

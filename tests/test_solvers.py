@@ -1,7 +1,12 @@
 """End-to-end hidden-subgroup solvers and their helpers."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hsplab
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import (
     NotElementaryAbelian2,
@@ -78,7 +83,7 @@ def test_commutator_budget_asserted_per_run():
     assert result.stats.f_queries <= result.f_query_budget
     import math
 
-    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)), 2.0**-10)
+    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)), 2.0**-10, 2)
     assert result.f_query_budget == expected
 
 
@@ -252,4 +257,24 @@ def test_budget_formulas_respond_to_inputs():
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(9, 16, 2.0**-10)
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(3, 64, 2.0**-10)
     # a tighter failure budget never shrinks either bound
-    assert commutator_query_budget(8, 10, 2.0**-10) <= commutator_query_budget(8, 10, 2.0**-20)
+    assert commutator_query_budget(8, 10, 2.0**-10, 2) <= commutator_query_budget(8, 10, 2.0**-20, 2)
+    # nor do more generators of G
+    assert commutator_query_budget(8, 10, 2.0**-10, 2) <= commutator_query_budget(8, 10, 2.0**-10, 3)
+
+
+def test_commutator_solve_leaves_sympy_unloaded():
+    """Factoring is trial division in core; a solve imports no sympy."""
+    src = str(Path(hsplab.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "from hsplab.core import GroupSpec, make_group, make_hiding_oracle\n"
+        "from hsplab.sim import SolverConfig\n"
+        "from hsplab.solvers import solve_small_commutator\n"
+        "G = make_group(GroupSpec(kind='extraspecial', p=3))\n"
+        "solve_small_commutator(G, make_hiding_oracle(G, [], seed=1), SolverConfig(seed=2))\n"
+        "print('sympy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
