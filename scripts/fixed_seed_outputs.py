@@ -16,7 +16,9 @@ that compute the same thing write byte-identical files.
 
 The second form prints ``identical``, or the number of instances whose
 outputs differ and the number whose answers differ as subgroups, followed by
-each pool's mean ``f_queries``, old -> new; it exits 0 either way.
+each pool's mean ``f_queries``, old -> new, and each field path that changed
+with its count of differing instances (``commutator-es/1: f_queries 48,
+rng_draws 48``); it exits 0 either way.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Optional
 
@@ -121,6 +124,27 @@ def differing_instances(old: dict, new: dict) -> tuple[int, int]:
     return outputs, answers
 
 
+def changed_fields(old, new, path: str = "") -> set[str]:
+    """Dotted paths of the fields in which two records differ; lists and
+    scalars are compared whole, and a field present in one record only
+    counts as changed."""
+    if old == new:
+        return set()
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return {path}
+    missing = object()
+    out = set()
+    for key in set(old) | set(new):
+        sub = f"{path}.{key}" if path else key
+        out |= changed_fields(old.get(key, missing), new.get(key, missing), sub)
+    return out
+
+
+def field_counts(old: list, new: list) -> Counter:
+    """Per field path, the number of paired instances in which it differs."""
+    return Counter(f for a, b in zip(old, new) for f in changed_fields(a, b))
+
+
 def mean_f_queries(pool: list) -> Optional[float]:
     """Mean f_queries over a pool's answered instances (a cli-suite record
     keeps them in its report's stats); None when none has any."""
@@ -146,8 +170,11 @@ def main(argv=None) -> int:
         else:
             print(f"{outputs} differing instances, {answers} differing as subgroups")
             for pool in sorted(set(old) | set(new)):
-                means = (_mean_text(mean_f_queries(d.get(pool, []))) for d in (old, new))
-                print("{}: mean f_queries {} -> {}".format(pool, *means))
+                a, b = old.get(pool, []), new.get(pool, [])
+                print(f"{pool}: mean f_queries {_mean_text(mean_f_queries(a))} -> "
+                      f"{_mean_text(mean_f_queries(b))}")
+                if counts := field_counts(a, b):
+                    print(f"{pool}: " + ", ".join(f"{f} {n}" for f, n in sorted(counts.items())))
         return 0
     if args.out is None:
         parser.error("give OUT.json or --compare OLD NEW")

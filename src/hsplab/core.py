@@ -122,20 +122,22 @@ class QueryStats:
 
 
 def _coset_keys(members: Sequence, multiply: Callable, key: Callable, label=None) -> Callable:
-    """The function x -> canonical key of the coset x*S: the least key over
-    its members, cached per element under key(x).  `label`, when given, maps
-    the least key to the value cached and returned."""
+    """The function x -> canonical key of the coset x*S for a subgroup S
+    given by its members: the least key over the coset.  A miss keys the
+    whole coset once and caches the answer under each of its elements, so
+    all calls together make at most |G| multiplies.  `label`, when given,
+    maps the least key to the value cached and returned."""
     members = list(members)
     cache: dict = {}
 
     def coset_key(x):
-        kx = key(x)
-        found = cache.get(kx)
+        found = cache.get(key(x))
         if found is None:
-            found = min(key(multiply(x, s)) for s in members)
+            keys = [key(multiply(x, s)) for s in members]
+            found = min(keys)
             if label is not None:
                 found = label(found)
-            cache[kx] = found
+            cache.update(dict.fromkeys(keys, found))
         return found
 
     return coset_key

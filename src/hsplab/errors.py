@@ -45,10 +45,6 @@ class QuotientNotAbelian(HspError):
     """The quotient modulo the hidden subgroup is not Abelian."""
 
 
-class ExpressFailure(HspError):
-    """A generator could not be expressed in a presentation that must cover it."""
-
-
 class CommutatorBoundExceeded(HspError):
     """The commutator subgroup is larger than the configured bound."""
 

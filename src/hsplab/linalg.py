@@ -347,7 +347,12 @@ class AbelianDecomposition:
     `relations`, r_i u_i minus the exponents of g_i^r_i, are triangular and
     generate every relation among the generators.  With U R V = D the Smith
     normal form of that matrix, a word's tuple is its exponent row times V,
-    taken modulo each prime-power part of the invariant factors in turn."""
+    taken modulo each prime-power part of the invariant factors in turn.
+
+    So row i of V, reduced the same way, is g_i's tuple: `generator_tuples`
+    expresses every generator over `basis` without a key call.  (For g_i in
+    <g_1..g_{i-1}> its unit row and its word's exponents differ by a
+    relation, and every row of R V = U^-1 D vanishes modulo the parts.)"""
 
     def __init__(self, view: GroupView, table: dict, relations: Matrix):
         self.view = view
@@ -358,6 +363,7 @@ class AbelianDecomposition:
             for i in range(len(relations)):
                 parts += [(i, p**a) for p, a in _factor(D[i][i]).items()]
         self.structure = AbelianStructure(tuple(q for _, q in parts))
+        self.generator_tuples = [tuple(row[i] % q for i, q in parts) for row in V]
         self._to_tuple = {}  # view key -> tuple
         self._from_tuple = {}  # tuple -> element
         for key, (exponents, x) in table.items():
@@ -382,12 +388,14 @@ def decompose_abelian(view: GroupView, gens: Sequence) -> AbelianDecomposition:
     stand-in for the quantum decomposition of Abelian black-box groups).
 
     Each generator is powered until it lands in the table of the group its
-    predecessors generate, and the table is extended by its lower powers;
-    one Smith normal form of the triangular relations gives the structure.
-    The view's key is called at most 2|<gens>| + k^2 - 1 times for k
-    generators, k^2 - k of them by the commute check.  `view` is a
-    BlackBoxGroup or a quotient view.  Raises NotAbelian if the generators
-    do not commute, BoundExceeded if |<gens>| exceeds the enumeration bound.
+    predecessors generate, and the table is extended by its lower powers,
+    keyed by the scan itself; one Smith normal form of the triangular
+    relations gives the structure.  The view's key is called exactly
+    |<gens>| + k^2 times for k generators: k^2 - k by the commute check, one
+    for the identity, one per power landing in the table, and one per other
+    element.  `view` is a BlackBoxGroup or a quotient view.  Raises
+    NotAbelian if the generators do not commute, BoundExceeded if |<gens>|
+    exceeds the enumeration bound.
     """
     gens = list(gens)
     if not view.commuting(gens):
@@ -398,18 +406,20 @@ def decompose_abelian(view: GroupView, gens: Sequence) -> AbelianDecomposition:
     table = {view.key(identity): ((0,) * k, identity)}  # key -> (exponents, element)
     relations = []
     for i, g in enumerate(gens):
-        powers = [identity]  # g^0 .. g^(r-1)
+        powers = []  # (key, element) of g^1 .. g^(r-1)
         x = g
         while (kx := view.key(x)) not in table:
-            if len(table) * (len(powers) + 1) > bound:
+            if len(table) * (len(powers) + 2) > bound:
                 raise BoundExceeded(f"|<gens>| exceeds bound {bound}")
-            powers.append(x)
+            powers.append((kx, x))
             x = view.multiply(x, g)
         relation = [-e for e in table[kx][0]]
-        relation[i] += len(powers)
+        relation[i] += len(powers) + 1
         relations.append(relation)
         for exponents, s in list(table.values()):
-            for j in range(1, len(powers)):
-                y = view.multiply(s, powers[j])
-                table[view.key(y)] = (exponents[:i] + (j,) + exponents[i + 1 :], y)
+            for j, (ky, y) in enumerate(powers, 1):
+                if any(exponents):  # s is not the identity
+                    y = view.multiply(s, y)
+                    ky = view.key(y)
+                table[ky] = (exponents[:i] + (j,) + exponents[i + 1 :], y)
     return AbelianDecomposition(view, table, relations)

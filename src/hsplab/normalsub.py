@@ -11,9 +11,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
-from .errors import ExpressFailure, NotAbelian, QuotientNotAbelian
+from .errors import NotAbelian, QuotientNotAbelian
 from .linalg import LabelQuotientView, decompose_abelian
-from .membership import constructive_membership
 from .sim import SolverConfig
 
 
@@ -22,10 +21,12 @@ class AbelianPresentation:
     """Presentation of an Abelian quotient G/N, carried as G-encodings.
 
     Relators are the powers t_i^{d_i} and all pairwise commutators [t_i, t_j].
+    `coordinates[i]` expresses G's i-th generator modulo N over the t_j.
     """
 
     generators: list[GroupElement]
     moduli: tuple[int, ...]
+    coordinates: list[tuple[int, ...]]
 
 
 @dataclass
@@ -40,7 +41,7 @@ def abelian_quotient_presentation(view: LabelQuotientView) -> AbelianPresentatio
         dec = decompose_abelian(view, view.group.generators)
     except NotAbelian as exc:
         raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup") from exc
-    return AbelianPresentation(list(dec.basis), dec.structure.moduli)
+    return AbelianPresentation(list(dec.basis), dec.structure.moduli, dec.generator_tuples)
 
 
 def _commutators(G: BlackBoxGroup, xs: Sequence[GroupElement]) -> list[GroupElement]:
@@ -54,21 +55,14 @@ def relator_values(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupElemen
     return powers + _commutators(G, p.generators)
 
 
-def generator_quotients(
-    view: LabelQuotientView, p: AbelianPresentation, cfg: SolverConfig
-) -> list[GroupElement]:
-    """For each generator x of G, express xN over the presentation
-    generators and emit y^-1 x; every output lies in N."""
-    G = view.group
+def generator_quotients(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupElement]:
+    """For each generator x of G, form y = prod t_j^a_j from x's coordinates
+    over the presentation generators and emit y^-1 x; every output lies in
+    N, since xN = yN."""
     out = []
-    for x in G.generators:
-        answer = constructive_membership(view, p.generators, x, cfg.child("genquot"))
-        if not answer.member:
-            raise ExpressFailure(
-                "presentation generators fail to cover an original generator"
-            )
+    for x, coordinates in zip(G.generators, p.coordinates):
         y = G.identity()
-        for t, a in zip(p.generators, answer.exponents.values):
+        for t, a in zip(p.generators, coordinates):
             y = G.multiply(y, G.power(t, a))
         out.append(G.multiply(G.invert(y), x))
     return out
@@ -113,10 +107,8 @@ def hidden_normal_subgroup(
     """Generators of the hidden normal subgroup N: normal closure of the
     relator values R0 and the generator quotients S0.  Both lie in N by
     construction: R0 because the decomposition at f's labels found the
-    orders and checked commutation, S0 because each membership answer is
-    verified at those labels."""
-    view = LabelQuotientView(G, f)
-    p = abelian_quotient_presentation(view)
-    r0 = relator_values(G, p)
-    s0 = generator_quotients(view, p, cfg)
-    return normal_closure(G, r0 + s0)
+    orders and checked commutation, S0 because the decomposition's
+    coordinates express each generator exactly modulo N.  Nothing is
+    sampled, so `cfg` draws nothing."""
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
+    return normal_closure(G, relator_values(G, p) + generator_quotients(G, p))

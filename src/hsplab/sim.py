@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from math import ceil, gcd, log2
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .core import GroupView, _factor
 from .errors import (
     HspError,
@@ -202,6 +200,8 @@ def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> 
 
 
 def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> tuple[int, ...]:
+    import numpy as np  # only this sampler needs it, and it is slow to import
+
     A = f.structure
     if A.order > STATEVECTOR_CAP:
         raise TooLarge(f"statevector cap {STATEVECTOR_CAP} exceeded by |A| = {A.order}")

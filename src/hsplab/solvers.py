@@ -63,25 +63,26 @@ class CosetPick:
     u: Optional[GroupElement] = None  # element of N with u^-1 z in H
 
 
-def commutator_query_budget(c: int, L: float, epsilon: float, k: int) -> int:
+def commutator_query_budget(c: int, L: float, k: int) -> int:
     """Documented closed-form f-query budget B1 for solve_small_commutator.
 
-    c = |G'|, L = log2 of the order bound, epsilon = the sampling epsilon,
-    k = the number of generators of G.  Each label of G/HG' costs c queries.
-    The decomposition of G/HG' from the k generators makes at most
-    2|G/HG'| + k^2 - 1 label calls: k^2 - k for the commute check, one for
-    the identity, r_1 + ... + r_k <= |G/HG'| + k - 1 for the powers and
-    |G/HG'| - 1 for the table.  With |G/HG'| <= |G|/c <= q = 2^L / c, that
-    is at most 2q + k^2 labels.  The terms 16q and 12(L + r + 8), with
-    r = ceil(log2(1/epsilon)), are kept from the earlier budget: they cover
-    the membership and order-finding calls at the labels and their kernel
-    certificates.  f_direct covers the direct scans of G' and of each coset.
+    c = |G'|, L = log2 of the order bound, k = the number of generators of
+    G, and q = 2^L / c >= |G/HG'|.  The solver's f-queries are:
+    - the scan of G' for H on G', f(1) included: c + 1;
+    - c per label of G/HG', and its decomposition from the k generators
+      makes exactly |G/HG'| + k^2 label calls, at most q + k^2;
+    - at most c per generator of HG' that the normal closure returns, one
+      coset scan each.  Those are its non-identity seeds, namely k generator
+      quotients and s + s(s - 1)/2 relator values for a quotient of rank
+      s <= log2 q, and at most L conjugates, since each one added at least
+      doubles the closure.
+    So B1 = c(q + k^2) + f_direct with f_direct = c + 1 + c(k + s(s + 1)/2
+    + L), s = ceil(log2 q).  Nothing is sampled, so epsilon does not enter.
     """
     q = max(1.0, 2.0**L / c)
-    r = max(1, ceil(log2(1.0 / epsilon)))
-    f_direct = (c + 1) + (L + 8) * c  # intersection scan + coset scans
-    f_labels = c * (2 * q + k * k + 16 * q + 12 * (L + r + 8))
-    return int(f_direct + f_labels)
+    s = ceil(log2(q))
+    f_direct = (c + 1) + c * (k + s * (s + 1) // 2 + L)
+    return ceil(c * (q + k * k) + f_direct)
 
 
 def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
@@ -151,7 +152,7 @@ def solve_small_commutator(
     gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(
-        len(g_prime), max(1.0, log2(order_bound)), cfg.epsilon, len(G.generators)
+        len(g_prime), max(1.0, log2(order_bound)), len(G.generators)
     )
     used = f.query_count - f_start
     if used > budget:

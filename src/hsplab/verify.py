@@ -47,6 +47,42 @@ def subgroup_key(G: BlackBoxGroup, elements: Sequence[GroupElement]) -> frozense
     return frozenset(G.key(x) for x in elements)
 
 
+class _CayleyTable:
+    """The enumerated G by index: one index per element key, and each
+    product multiplied once, on first use, and kept in its row."""
+
+    def __init__(self, G: BlackBoxGroup, elements: Sequence[GroupElement]):
+        self.G = G
+        self.elements = list(elements)
+        self.index = {G.key(x): i for i, x in enumerate(self.elements)}
+        self.identity = self.index[G.key(G.identity())]
+        self._rows: list[Optional[list]] = [None] * len(self.elements)
+
+    def closure(self, gens: Sequence[int]) -> list[int]:
+        """Indices of <gens>, in the BFS order of enumerate_closure."""
+        G, elements, index, rows = self.G, self.elements, self.index, self._rows
+        gens = [g for g in gens if g != self.identity]
+        out = [self.identity]
+        seen = set(out)
+        frontier = out
+        while frontier:
+            nxt = []
+            for x in frontier:
+                row = rows[x]
+                if row is None:
+                    row = rows[x] = [None] * len(rows)
+                for s in gens:
+                    y = row[s]
+                    if y is None:
+                        y = row[s] = index[G.key(G.multiply(elements[x], elements[s]))]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            out += nxt
+            frontier = nxt
+        return out
+
+
 def subgroups_of(
     G: BlackBoxGroup,
     elements: Sequence[GroupElement],
@@ -60,23 +96,23 @@ def subgroups_of(
             raise BoundExceeded(
                 f"exhaustive subgroup enumeration capped at {EXHAUSTIVE_CAP}"
             )
-        found: dict[frozenset, list[GroupElement]] = {}
-        trivial = [G.identity()]
-        found[subgroup_key(G, trivial)] = trivial
+        table = _CayleyTable(G, elements)
+        trivial = [table.identity]
+        found = {frozenset(trivial): trivial}
         work = [trivial]
         while work:
             sub = work.pop()
-            sub_keys = subgroup_key(G, sub)
-            for x in elements:
-                if G.key(x) in sub_keys:
+            members = frozenset(sub)
+            for x in range(len(elements)):
+                if x in members:
                     continue  # <sub, x> is sub, found already
                 # closing over all members keeps the fixpoint simple
-                extended = enumerate_closure(G, sub + [x], len(elements))
-                key = subgroup_key(G, extended)
+                extended = table.closure(sub + [x])
+                key = frozenset(extended)
                 if key not in found:
                     found[key] = extended
                     work.append(extended)
-        return list(found.values())
+        return [[table.elements[i] for i in sub] for sub in found.values()]
     rng = rng or RngStream(0)
     out: dict[frozenset, list[GroupElement]] = {}
     attempts = 0

@@ -296,6 +296,17 @@ def test_hiding_oracle_label_counts():
     assert labels[0] != labels[1]
 
 
+def test_hiding_oracle_labels_a_whole_coset_per_miss():
+    """With H = G on es(5), the first label keys all of G, and labelling
+    every element costs at most |G| multiplies, not |G| per element."""
+    G = make_group(GroupSpec(kind="extraspecial", p=5))
+    elements = enumerate_closure(G, G.generators)
+    f = make_hiding_oracle(G, G.generators, seed=4)
+    before = G.stats.group_ops
+    assert len({f.eval(g) for g in elements}) == 1
+    assert G.stats.group_ops - before <= len(elements) == 125
+
+
 def test_hiding_oracle_coset_iff_property(q8):
     """eval(g) == eval(g') iff g^-1 g' lies in the hidden subgroup."""
     G = q8

@@ -41,6 +41,7 @@ def test_compare_prints_both_counts(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "4 differing instances, 3 differing as subgroups\n"
         "a: mean f_queries 4.5 -> 5.5\n"
+        "a: answer 1, error 1, f_queries 1, gens 2\n"
         "b: mean f_queries - -> -\n"
         "gone: mean f_queries - -> -\n"
     )
@@ -54,3 +55,19 @@ def test_mean_f_queries_reads_solver_and_cli_records():
     assert fixed_seed_outputs.mean_f_queries(solver) == 4.5
     assert fixed_seed_outputs.mean_f_queries(cli) == 3.0
     assert fixed_seed_outputs.mean_f_queries([]) is None
+
+
+def test_changed_fields_name_nested_paths():
+    old = {"report": {"stats": {"f_queries": 3, "rng_draws": 2}, "generators": ["3:1"]}, "code": 0}
+    new = {"report": {"stats": {"f_queries": 1, "rng_draws": 2}, "generators": ["3:2"]}, "code": 0}
+    assert fixed_seed_outputs.changed_fields(old, new) == {
+        "report.stats.f_queries",
+        "report.generators",
+    }
+    assert fixed_seed_outputs.changed_fields(old, old) == set()
+    # a field on one side only, even a null one, is a change
+    assert fixed_seed_outputs.changed_fields({"x": None}, {}) == {"x"}
+    assert fixed_seed_outputs.field_counts([old, old, new], [new, new, new]) == {
+        "report.stats.f_queries": 2,
+        "report.generators": 2,
+    }

@@ -78,13 +78,38 @@ def test_generator_quotients_lie_in_n():
     G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
     two = GroupElement(G.backend.encode((2,)))
     f = make_hiding_oracle(G, [two], seed=24)
-    cfg = SolverConfig(seed=25)
-    view = LabelQuotientView(G, f)
-    p = abelian_quotient_presentation(view)
-    quotients = generator_quotients(view, p, cfg)
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
+    before = f.query_count
+    quotients = generator_quotients(G, p)
+    assert f.query_count == before  # the coordinates come from the decomposition
     id_label = f.peek(G.identity())
     assert quotients
     assert all(f.peek(q) == id_label for q in quotients)
+
+
+def test_hidden_normal_subgroup_makes_no_membership_call(monkeypatch):
+    """The generator quotients come from the decomposition's coordinates, not
+    from constructive membership, order finding or an Abelian HSP; nothing
+    is sampled."""
+    from hsplab import membership, normalsub, sim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(normalsub, "constructive_membership", refuse, raising=False)
+    for module in (membership, sim):
+        for name in ("find_order", "abelian_hsp"):
+            monkeypatch.setattr(module, name, refuse)
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    a, b = G.generators
+    f = make_hiding_oracle(G, [G.commutator(a, b), a], seed=32)
+    cfg = SolverConfig(seed=33)
+    out = hidden_normal_subgroup(G, f, cfg)
+    assert cfg.draws == 0
+    elements = enumerate_closure(G, G.generators)
+    assert subgroup_key(G, enumerate_closure(G, out.gens)) == subgroup_key(
+        G, brute_force_hsp(G, elements, f)
+    )
 
 
 def test_normal_closure_s3():

@@ -83,8 +83,11 @@ def test_commutator_budget_asserted_per_run():
     assert result.stats.f_queries <= result.f_query_budget
     import math
 
-    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)), 2.0**-10, 2)
+    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)), 2)
     assert result.f_query_budget == expected
+    # |G/HG'| = 9 labels plus k^2 = 4 from the decomposition, c = 3 queries
+    # each, and the scan of G' with f(1)
+    assert result.stats.f_queries >= 3 * (9 + 4) + 4
 
 
 def test_wreath_diagonal_subgroup():
@@ -256,14 +259,17 @@ def test_budget_formulas_respond_to_inputs():
     # more coset representatives or a bigger N never shrink the elem2 budget
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(9, 16, 2.0**-10)
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(3, 64, 2.0**-10)
-    # a tighter failure budget never shrinks either bound
-    assert commutator_query_budget(8, 10, 2.0**-10, 2) <= commutator_query_budget(8, 10, 2.0**-20, 2)
-    # nor do more generators of G
-    assert commutator_query_budget(8, 10, 2.0**-10, 2) <= commutator_query_budget(8, 10, 2.0**-10, 3)
+    # B1 grows with the number of generators of G and with the order bound
+    assert commutator_query_budget(8, 10, 2) < commutator_query_budget(8, 10, 3)
+    assert commutator_query_budget(8, 10, 2) < commutator_query_budget(8, 11, 2)
+    # c = 3, L = 5, k = 2: q = 32/3, rank s <= 4, so
+    # 3 * (32/3 + 4) + 4 + 3 * (2 + 10 + 5) = 99
+    assert commutator_query_budget(3, 5, 2) == 99
 
 
-def test_commutator_solve_leaves_sympy_unloaded():
-    """Factoring is trial division in core; a solve imports no sympy."""
+def _loaded_after_commutator_solve(module: str) -> bool:
+    """Whether a fresh interpreter has `module` loaded after one commutator
+    solve on es(3) with the ideal sampler."""
     src = str(Path(hsplab.__file__).resolve().parent.parent)
     code = (
         "import sys\n"
@@ -272,9 +278,19 @@ def test_commutator_solve_leaves_sympy_unloaded():
         "from hsplab.solvers import solve_small_commutator\n"
         "G = make_group(GroupSpec(kind='extraspecial', p=3))\n"
         "solve_small_commutator(G, make_hiding_oracle(G, [], seed=1), SolverConfig(seed=2))\n"
-        "print('sympy' in sys.modules)"
+        f"print({module!r} in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_commutator_solve_leaves_numpy_unloaded():
+    """Only the statevector sampler needs numpy, so it is imported there."""
+    assert not _loaded_after_commutator_solve("numpy")
+
+
+def test_commutator_solve_leaves_sympy_unloaded():
+    """Factoring is trial division in core; a solve imports no sympy."""
+    assert not _loaded_after_commutator_solve("sympy")

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hsplab
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
@@ -60,6 +62,44 @@ def test_subgroup_counts():
     assert len(subgroups_of(z4, enumerate_closure(z4, z4.generators))) == 3
     triv = make_group(GroupSpec(kind="permutation", degree=2, perms=[[0, 1]]))
     assert len(subgroups_of(triv, enumerate_closure(triv, triv.generators))) == 1
+
+
+def _subgroups_by_closures(G, elements):
+    """The exhaustive fixpoint on the group itself, one enumerate_closure of
+    sub + [x] per element x outside each subgroup found."""
+    trivial = [G.identity()]
+    found = {subgroup_key(G, trivial): trivial}
+    work = [trivial]
+    while work:
+        sub = work.pop()
+        sub_keys = subgroup_key(G, sub)
+        for x in elements:
+            if G.key(x) in sub_keys:
+                continue
+            extended = enumerate_closure(G, sub + [x], len(elements))
+            key = subgroup_key(G, extended)
+            if key not in found:
+                found[key] = extended
+                work.append(extended)
+    return list(found.values())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupSpec(kind="extraspecial", p=3),
+        GroupSpec(kind="extraspecial", p=3, variant="exponent-p2"),
+        GroupSpec(kind="abelian", moduli=(4, 6)),
+        GroupSpec(kind="wreath", k=2),
+    ],
+    ids=["es3", "es3-p2", "z4xz6", "wreath2"],
+)
+def test_subgroups_on_the_table_match_closures_in_the_group(spec):
+    """The Cayley-table fixpoint finds the same subgroups, in the same order
+    and each with its elements in the same order."""
+    G = make_group(spec)
+    elements = enumerate_closure(G, G.generators)
+    assert subgroups_of(G, elements) == _subgroups_by_closures(G, elements)
 
 
 def test_subgroups_closed_under_intersection():
