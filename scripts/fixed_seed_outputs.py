@@ -16,9 +16,9 @@ that compute the same thing write byte-identical files.
 
 The second form prints ``identical``, or the number of instances whose
 outputs differ and the number whose answers differ as subgroups, followed by
-each pool's mean ``f_queries``, old -> new, and each field path that changed
-with its count of differing instances (``commutator-es/1: f_queries 48,
-rng_draws 48``); it exits 0 either way.
+each pool's mean ``f_queries``, ``group_ops`` and ``rng_draws``, old -> new,
+and each field path that changed with its count of differing instances
+(``commutator-es/1: f_queries 48, rng_draws 48``); it exits 0 either way.
 """
 
 from __future__ import annotations
@@ -145,12 +145,20 @@ def field_counts(old: list, new: list) -> Counter:
     return Counter(f for a, b in zip(old, new) for f in changed_fields(a, b))
 
 
-def mean_f_queries(pool: list) -> Optional[float]:
-    """Mean f_queries over a pool's answered instances (a cli-suite record
-    keeps them in its report's stats); None when none has any."""
-    counts = [r.get("report", r).get("stats", r).get("f_queries") for r in pool]
+MEAN_FIELDS = ("f_queries", "group_ops", "rng_draws")
+
+
+def mean_stat(pool: list, field: str) -> Optional[float]:
+    """Mean of a solver counter over a pool's answered instances (a
+    cli-suite record keeps it in its report's stats); None when none has
+    it."""
+    counts = [r.get("report", r).get("stats", r).get(field) for r in pool]
     counts = [c for c in counts if c is not None]
     return sum(counts) / len(counts) if counts else None
+
+
+def mean_f_queries(pool: list) -> Optional[float]:
+    return mean_stat(pool, "f_queries")
 
 
 def _mean_text(mean: Optional[float]) -> str:
@@ -171,8 +179,11 @@ def main(argv=None) -> int:
             print(f"{outputs} differing instances, {answers} differing as subgroups")
             for pool in sorted(set(old) | set(new)):
                 a, b = old.get(pool, []), new.get(pool, [])
-                print(f"{pool}: mean f_queries {_mean_text(mean_f_queries(a))} -> "
-                      f"{_mean_text(mean_f_queries(b))}")
+                means = (
+                    f"{field} {_mean_text(mean_stat(a, field))} -> {_mean_text(mean_stat(b, field))}"
+                    for field in MEAN_FIELDS
+                )
+                print(f"{pool}: mean " + ", ".join(means))
                 if counts := field_counts(a, b):
                     print(f"{pool}: " + ", ".join(f"{f} {n}" for f, n in sorted(counts.items())))
         return 0

@@ -24,8 +24,8 @@ from .core import (
     make_group,
     make_hiding_oracle,
 )
-from .errors import BadSpec, HspError, UnsupportedInstance
-from .normalsub import commutator_subgroup, hidden_normal_subgroup
+from .errors import BadSpec, CommutatorBoundExceeded, HspError, UnsupportedInstance
+from .normalsub import hidden_normal_subgroup
 from .sim import SolverConfig, splitmix64
 from .solvers import (
     SubgroupResult,
@@ -81,16 +81,19 @@ def parse_hidden(G: BlackBoxGroup, text: str, base_dir: Path) -> list[GroupEleme
     return gens
 
 
-def _pick_solver(G: BlackBoxGroup) -> str:
+def _auto(G: BlackBoxGroup, f, cfg: SolverConfig) -> SubgroupResult:
+    """--solver auto: abelian, else commutator, else elem2 if the spec declares
+    N.  The commutator solver refuses a large G' before any f-query or draw,
+    so falling back from it leaves the report as a direct call would."""
     if G.commuting(G.generators):
-        return "abelian"
+        return solve_abelian(G, f, cfg)
     try:
-        commutator_subgroup(G, AUTO_COMMUTATOR_BOUND)
-        return "commutator"
-    except HspError:
+        return solve_small_commutator(G, f, cfg, AUTO_COMMUTATOR_BOUND)
+    except CommutatorBoundExceeded:
         pass
     if "elem2_normal_gens" in G.meta:
-        return "elem2-cyclic" if G.meta.get("block_order") else "elem2-small"
+        solver = "elem2-cyclic" if G.meta.get("block_order") else "elem2-small"
+        return _dispatch(G, f, solver, cfg)
     raise UnsupportedInstance("no solver applies; pass --solver explicitly")
 
 
@@ -141,11 +144,11 @@ def run(config: RunConfig) -> tuple[int, dict]:
         report["wall_time_s"] = time.monotonic() - started
         return 3, report
     try:
-        solver = config.solver
-        if solver == "auto":
-            solver = _pick_solver(G)
         cfg = SolverConfig(epsilon=config.epsilon, seed=config.seed)
-        result = _dispatch(G, f, solver, cfg)
+        if config.solver == "auto":
+            result = _auto(G, f, cfg)
+        else:
+            result = _dispatch(G, f, config.solver, cfg)
     except HspError as exc:
         report["error"] = f"solver error ({type(exc).__name__}): {exc}"
         report["wall_time_s"] = time.monotonic() - started

@@ -121,19 +121,22 @@ class QueryStats:
     rng_draws: int = 0
 
 
-def _coset_keys(members: Sequence, multiply: Callable, key: Callable, label=None) -> Callable:
-    """The function x -> canonical key of the coset x*S for a subgroup S
-    given by its members: the least key over the coset.  A miss keys the
-    whole coset once and caches the answer under each of its elements, so
-    all calls together make at most |G| multiplies.  `label`, when given,
-    maps the least key to the value cached and returned."""
-    members = list(members)
+def _coset_keys(G: BlackBoxGroup, members: Sequence[GroupElement], label=None) -> Callable:
+    """The function x -> canonical key of the coset x*S of G, for a subgroup S
+    given by its members: the least key over the coset.  A miss multiplies
+    the raw encodings of the whole coset once, |S| group operations, and
+    caches the answer under each of its elements, so all calls together
+    make at most |G| multiplies.  `label`, when given, maps the least key to
+    the value cached and returned."""
+    mul, stats = G.backend.mul, G.stats
+    values = [s.value for s in members]
     cache: dict = {}
 
-    def coset_key(x):
-        found = cache.get(key(x))
+    def coset_key(x: GroupElement):
+        found = cache.get(x.value)
         if found is None:
-            keys = [key(multiply(x, s)) for s in members]
+            keys = [mul(x.value, s) for s in values]
+            stats.group_ops += len(keys)
             found = min(keys)
             if label is not None:
                 found = label(found)
@@ -708,26 +711,30 @@ def enumerate_closure(
     seeds: Sequence[GroupElement],
     bound: Optional[int] = None,
 ) -> list[GroupElement]:
-    """All distinct elements of <seeds>, BFS order, identity first."""
+    """All distinct elements of <seeds>, BFS order, identity first, closed
+    on the raw encodings; each product counts as one group operation."""
     bound = enum_bound() if bound is None else bound
     if bound < 1:
         raise BoundExceeded("bound must be at least 1")
-    return _closure(G, [s for s in seeds if not G.is_identity(s)], bound)
+    backend = G.backend
+    gens = [s.value for s in seeds if not G.is_identity(s)]
+    values = _closure(backend.mul, None, backend.identity, gens, bound)
+    G.stats.group_ops += len(values) * len(gens)
+    return [_element(v, backend.n) for v in values]
 
 
-def _closure(group: GroupView, gens: Sequence, bound: int) -> list:
-    """Distinct elements of <gens> under the group's key, BFS order, identity
-    first; every key call is made, so a view whose key is an f-query pays
-    one query per product."""
-    identity = group.identity()
-    seen = {group.key(identity): identity}
+def _closure(multiply: Callable, key: Callable, identity, gens: Sequence, bound: int) -> list:
+    """Distinct elements of <gens> under `key`, BFS order, identity first;
+    every key call is made, so a view whose key is an f-query pays one query
+    per product.  With `key` None the elements are their own keys."""
+    seen = {identity if key is None else key(identity): identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
             for s in gens:
-                y = group.multiply(x, s)
-                ky = group.key(y)
+                y = multiply(x, s)
+                ky = y if key is None else key(y)
                 if ky not in seen:
                     if len(seen) >= bound:
                         raise BoundExceeded(f"closure exceeds bound {bound}")
@@ -746,6 +753,9 @@ class HidingOracle:
     """
 
     label_length = 128
+    # harness-only, like peek: the generators make_hiding_oracle was given,
+    # for the ideal sampler's subgroup providers; None when not known
+    hidden_gens: Optional[list[GroupElement]] = None
 
     def __init__(self, G: BlackBoxGroup, h_elements: Sequence[GroupElement], seed: int = 0):
         self.group = G
@@ -760,7 +770,7 @@ class HidingOracle:
                 format(canonical, spelled).encode(), key=seed_key, digest_size=digest_size
             ).hexdigest()
 
-        self._label = _coset_keys(h_elements, G.multiply, G.key, obfuscate)
+        self._label = _coset_keys(G, h_elements, obfuscate)
 
     def eval(self, g: GroupElement) -> str:
         self.query_count += 1
@@ -804,5 +814,6 @@ def make_hiding_oracle(
     generators are validated here, so the oracle trusts what it labels."""
     for g in h_gens:
         G.backend.validate(g.bits)
-    h_elements = enumerate_closure(G, h_gens, bound)
-    return HidingOracle(G, h_elements, seed=seed)
+    f = HidingOracle(G, enumerate_closure(G, h_gens, bound), seed=seed)
+    f.hidden_gens = list(h_gens)
+    return f

@@ -14,7 +14,9 @@ decomposition take a group or a quotient alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import BoundExceeded, InvariantBroken, NotAbelian
@@ -37,13 +39,17 @@ class AbelianStructure:
 
     moduli: tuple[int, ...]
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return lcm(*self.moduli) if self.moduli else 1
 
-    @property
+    @cached_property
     def order(self) -> int:
         return prod(self.moduli)
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        return tuple(self.exponent // m for m in self.moduli)
 
     def reduce(self, t: Sequence[int]) -> tuple[int, ...]:
         return tuple(x % m for x, m in zip(t, self.moduli))
@@ -65,8 +71,7 @@ class AbelianStructure:
 
     def pairing(self, c: Sequence[int], x: Sequence[int]) -> int:
         """Sum of c_j * x_j * (M/m_j) mod M; zero iff chi_c(x) = 1."""
-        M = self.exponent
-        return sum(cj * xj * (M // m) for cj, xj, m in zip(c, x, self.moduli)) % M
+        return sum([cj * xj * w for cj, xj, w in zip(c, x, self._weights)]) % self.exponent
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -223,15 +228,16 @@ def solve_character_kernel(
 
 
 def subgroup_order(structure: AbelianStructure, gens: Sequence[Sequence[int]]) -> int:
-    """Order of the subgroup of `structure` generated by the tuples."""
+    """Order of the subgroup of `structure` generated by the tuples: |A| over
+    the index in Z^k of the lattice they span with the moduli's multiples,
+    which is the product of the pivots of its square echelon basis."""
     k = len(structure.moduli)
     if k == 0:
         return 1
     rows = [list(structure.reduce(g)) for g in gens]
     rows += [[structure.moduli[i] if j == i else 0 for j in range(k)] for i in range(k)]
-    _, D, _ = smith_normal_form(rows)
-    index = prod(D[i][i] for i in range(k))
-    return structure.order // index
+    basis = row_basis(rows)
+    return structure.order // prod(basis[i][i] for i in range(k))
 
 
 def subgroup_elements(
@@ -324,7 +330,7 @@ class CosetQuotientView(QuotientView):
 
     def __init__(self, G: BlackBoxGroup, n_elements: Sequence[GroupElement]):
         super().__init__(G)
-        self._coset_key = _coset_keys(n_elements, G.multiply, G.key)
+        self._coset_key = _coset_keys(G, n_elements)
 
     def key(self, a) -> int:
         return self._coset_key(a)
@@ -335,7 +341,8 @@ def view_closure(view: GroupView, seeds, bound: Optional[int] = None):
 
     Unlike enumerate_closure it does not drop identity seeds first: on a
     LabelQuotientView that test would cost f-queries."""
-    return _closure(view, list(seeds), enum_bound() if bound is None else bound)
+    bound = enum_bound() if bound is None else bound
+    return _closure(view.multiply, view.key, view.identity(), list(seeds), bound)
 
 
 class AbelianDecomposition:
@@ -366,8 +373,9 @@ class AbelianDecomposition:
         self.generator_tuples = [tuple(row[i] % q for i, q in parts) for row in V]
         self._to_tuple = {}  # view key -> tuple
         self._from_tuple = {}  # tuple -> element
+        columns = [([row[i] for row in V], q) for i, q in parts]
         for key, (exponents, x) in table.items():
-            t = tuple(sum(e * V[j][i] for j, e in enumerate(exponents)) % q for i, q in parts)
+            t = tuple(sum(map(mul, exponents, column)) % q for column, q in columns)
             self._to_tuple[key] = t
             self._from_tuple[t] = x
         if len(self._from_tuple) != len(table):
@@ -376,8 +384,9 @@ class AbelianDecomposition:
             )
         self.basis = [self.element_of(u) for u in identity_matrix(len(parts))]
 
-    def tuple_of(self, x) -> tuple[int, ...]:
-        return self._to_tuple[self.view.key(x)]
+    def tuple_of(self, x) -> Optional[tuple[int, ...]]:
+        """x's tuple, or None when x lies outside the decomposed group."""
+        return self._to_tuple.get(self.view.key(x))
 
     def element_of(self, t: Sequence[int]):
         return self._from_tuple[self.structure.reduce(t)]

@@ -132,7 +132,8 @@ class QuantumFunctionOracle:
     harness-privileged path, the view's hkey.  Equal labels stand for equal
     (coset) states; distinct labels stand for orthogonal states.
     ``subgroup_provider`` (when set) lets the harness determine the hidden
-    subgroup without a full collision sweep.
+    subgroup without a full collision sweep; it returns None when it cannot
+    tell, and the sweep runs instead.
     """
 
     def __init__(
@@ -156,8 +157,9 @@ class QuantumFunctionOracle:
 
     def hidden_subgroup_gens(self) -> list[tuple]:
         """Harness-side determination of the hidden subgroup's generators."""
-        if self._provider is not None:
-            return [self.structure.reduce(t) for t in self._provider()]
+        provided = None if self._provider is None else self._provider()
+        if provided is not None:
+            return [self.structure.reduce(t) for t in provided]
         return self._collision_search()
 
     def _collision_search(self) -> list[tuple]:
@@ -241,10 +243,6 @@ def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> tuple[int, 
     return tuple(reversed(coeffs))
 
 
-def annihilates(structure: AbelianStructure, c: Sequence[int], x: Sequence[int]) -> bool:
-    return structure.pairing(c, x) == 0
-
-
 def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, ...]]:
     """Generators of the subgroup hidden by f, exactly.
 
@@ -261,7 +259,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     structure = f.structure
     if not structure.moduli or structure.order == 1:
         return []
-    rng = cfg.rng
+    rng, stable_rounds, pairing = cfg.rng, cfg.stable_rounds, structure.pairing
     samples: list[tuple[int, ...]] = []
     kernel_gens = list(_unit_tuples(structure))
     kernel_order = structure.order
@@ -270,7 +268,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     stable = 0
     rounds = 0
     while True:
-        if stable >= cfg.stable_rounds and not refuted:
+        if stable >= stable_rounds and not refuted:
             gens = [t for t in kernel_gens if any(t)]
             if base is None:
                 base = f.eval(structure.zero())
@@ -282,7 +280,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
             raise RoundBudgetExceeded(f"no convergence in {MAX_ROUNDS} rounds")
         c = sample_character(f, cfg.backend, rng)
         samples.append(c)
-        if all(annihilates(structure, c, x) for x in kernel_gens):
+        if not any(pairing(c, x) for x in kernel_gens):  # c annihilates the kernel
             stable += 1
             continue
         kernel_gens = solve_character_kernel(structure, samples)

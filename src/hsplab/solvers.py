@@ -44,7 +44,7 @@ from .linalg import (
     view_closure,
 )
 from .membership import constructive_membership
-from .normalsub import commutator_subgroup, hidden_normal_subgroup
+from .normalsub import commutator_subgroup
 from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
 
 
@@ -63,26 +63,27 @@ class CosetPick:
     u: Optional[GroupElement] = None  # element of N with u^-1 z in H
 
 
-def commutator_query_budget(c: int, L: float, k: int) -> int:
-    """Documented closed-form f-query budget B1 for solve_small_commutator.
+def commutator_query_budget(c: int, L: float) -> int:
+    """Documented closed-form f-query budget B1 for solve_small_commutator,
+    with the ideal sampler.
 
-    c = |G'|, L = log2 of the order bound, k = the number of generators of
-    G, and q = 2^L / c >= |G/HG'|.  The solver's f-queries are:
+    c = |G'|, L = log2 of the order bound, q = 2^L / c >= |G/G'| and
+    s = ceil(log2 q), which bounds the number of prime-power cyclic factors
+    of G/G' (each has order at least 2), so the number of kernel generators
+    too.  Each F-evaluation, F(x) the sorted f-labels over x*G', costs c
+    f-queries.  The solver's f-queries are:
     - the scan of G' for H on G', f(1) included: c + 1;
-    - c per label of G/HG', and its decomposition from the k generators
-      makes exactly |G/HG'| + k^2 label calls, at most q + k^2;
-    - at most c per generator of HG' that the normal closure returns, one
-      coset scan each.  Those are its non-identity seeds, namely k generator
-      quotients and s + s(s - 1)/2 relator values for a quotient of rank
-      s <= log2 q, and at most L conjugates, since each one added at least
-      doubles the closure.
-    So B1 = c(q + k^2) + f_direct with f_direct = c + 1 + c(k + s(s + 1)/2
-    + L), s = ceil(log2 q).  Nothing is sampled, so epsilon does not enter.
+    - the certificates of the one Abelian HSP over G/G': F(0) once, then at
+      most s generators per certified kernel, and at most 1 + log2 q
+      kernels, since each one certified strictly contains the next:
+      c(1 + s(1 + log2 q));
+    - one coset scan of at most c per kernel generator: c * s.
+    So B1 = (c + 1) + c(1 + s(1 + log2 q)) + c * s.  Epsilon bounds only
+    extra sampling rounds, which make no f-query, so it does not enter.
     """
     q = max(1.0, 2.0**L / c)
     s = ceil(log2(q))
-    f_direct = (c + 1) + c * (k + s * (s + 1) // 2 + L)
-    return ceil(c * (q + k * k) + f_direct)
+    return ceil((c + 1) + c * (1 + s * (1 + log2(q))) + c * s)
 
 
 def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
@@ -107,7 +108,7 @@ def solve_abelian(
     f_start = f.query_count
     ops_start = G.stats.group_ops
     dec = decompose_abelian(G, G.generators)
-    gens = intersect_with_normal(dec, f, cfg)
+    gens = _lifted_hsp(dec, f, cfg, f.hidden_gens)
     stats = QueryStats(
         f.query_count - f_start, G.stats.group_ops - ops_start, cfg.draws
     )
@@ -122,7 +123,12 @@ def solve_small_commutator(
 ) -> SubgroupResult:
     """Hidden subgroup when |G'| is small, by the H = H1 assembly:
     H1 is generated by H on G' together with one member of each coset
-    x*G' over the generators x of H*G'."""
+    x*G' over generators x of H*G' modulo G'.
+
+    F(x), the sorted f-labels over x*G', hides H*G', which contains G'; so
+    F hides H*G'/G' in the Abelian group G/G'.  G/G' is decomposed once,
+    with group operations and no f-query, and one Abelian HSP over it finds
+    H*G'/G'."""
     f_start = f.query_count
     ops_start = G.stats.group_ops
     identity = G.identity()
@@ -137,13 +143,13 @@ def solve_small_commutator(
     base = f.eval(identity)
     h_cap_gprime = [x for x in g_prime if f.eval(x) == base]
 
-    # (3)+(4) F hides H*G', which is normal since G/G' is Abelian
-    F = CosetLabelOracle(G, f, g_prime)
-    hgp = hidden_normal_subgroup(G, F, cfg.child("hgprime"))
+    # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
+    dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
+    hgp = _lifted_hsp(dec, CosetLabelOracle(G, f, g_prime), cfg, f.hidden_gens)
 
     # (5) scan each coset x*G' in fixed bitstring order for a member of H
     picks = []
-    for x in hgp.gens:
+    for x in hgp:
         coset = sorted((G.multiply(x, c) for c in g_prime), key=G.key)
         pick = next(y for y in coset if f.eval(y) == base)
         picks.append(pick)
@@ -151,9 +157,7 @@ def solve_small_commutator(
     # (6) assemble H1
     gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
     order_bound = G.order_hint or enum_bound()
-    budget = commutator_query_budget(
-        len(g_prime), max(1.0, log2(order_bound)), len(G.generators)
-    )
+    budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
     used = f.query_count - f_start
     if used > budget:
         raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
@@ -189,7 +193,22 @@ def intersect_with_normal(
     dec: AbelianDecomposition, f: HidingOracle, cfg: SolverConfig
 ) -> list[GroupElement]:
     """Generators of H on N via the Abelian HSP over N's decomposition."""
-    oracle = QuantumFunctionOracle(dec.structure, LabelQuotientView(f.group, f), dec.element_of)
+    return _lifted_hsp(dec, f, cfg)
+
+
+def _lifted_hsp(dec: AbelianDecomposition, f, cfg: SolverConfig, hidden_gens=None) -> list:
+    """Generators, lifted to G, of the subgroup that the oracle f of G hides
+    over dec's group, by one Abelian HSP.  When that subgroup is the image of
+    <hidden_gens> and they lie in dec's group, the ideal sampler reads it off
+    their tuples (harness work) instead of searching for label collisions."""
+    def provider():
+        tuples = [dec.tuple_of(h) for h in hidden_gens]
+        return None if None in tuples else tuples
+
+    view = LabelQuotientView(f.group, f)
+    oracle = QuantumFunctionOracle(
+        dec.structure, view, dec.element_of, None if hidden_gens is None else provider
+    )
     return [dec.element_of(t) for t in abelian_hsp(oracle, cfg)]
 
 

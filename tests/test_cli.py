@@ -64,6 +64,43 @@ def test_run_extraspecial_center(group_dir):
     assert report["subgroup_order"] == 3
 
 
+def test_auto_builds_the_commutator_subgroup_once(group_dir, monkeypatch):
+    """--solver auto calls the commutator solver directly, so G' is built
+    once per run, by the solver, and not again to choose it."""
+    from hsplab import normalsub
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return normalsub.commutator_subgroup(*args)
+
+    for module in (cli, solvers):
+        monkeypatch.setattr(module, "commutator_subgroup", counted, raising=False)
+    code, report = run(RunConfig(str(group_dir / "es3.grp"), hidden="000010", seed=6))
+    assert code == 0 and report["method"] == "commutator"
+    assert len(calls) == 1
+
+
+def test_auto_falls_back_to_elem2_past_the_commutator_bound(tmp_path):
+    """On the affine k=7 group with the companion block of x^7 + x + 1, |G'|
+    = 128 exceeds the auto bound 64; the commutator solver refuses before
+    any f-query or draw, so auto's report equals the direct elem2-cyclic
+    one but for the solver named in the config."""
+    rows = "0000001 1000001 0100000 0010000 0001000 0000100 0000010"
+    trans = "".join(f"trans = {'0' * i}1{'0' * (6 - i)}\n" for i in range(7))
+    (tmp_path / "a7.grp").write_text(f"kind = affinegf2\nk = 7\nblock = {rows}\n{trans}")
+    reports = []
+    for solver in ("auto", "elem2-cyclic"):
+        code, report = run(RunConfig(str(tmp_path / "a7.grp"), hidden="", solver=solver, seed=3))
+        assert code == 0
+        report.pop("wall_time_s")
+        report["config"].pop("solver")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["method"] == "elem2-cyclic"
+
+
 def test_run_wreath_elem2_small(group_dir):
     code, report = run(
         RunConfig(

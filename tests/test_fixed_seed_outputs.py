@@ -40,10 +40,10 @@ def test_compare_prints_both_counts(tmp_path, capsys):
     assert fixed_seed_outputs.main(["--compare", str(old), str(new)]) == 0
     assert capsys.readouterr().out == (
         "4 differing instances, 3 differing as subgroups\n"
-        "a: mean f_queries 4.5 -> 5.5\n"
+        "a: mean f_queries 4.5 -> 5.5, group_ops - -> -, rng_draws - -> -\n"
         "a: answer 1, error 1, f_queries 1, gens 2\n"
-        "b: mean f_queries - -> -\n"
-        "gone: mean f_queries - -> -\n"
+        "b: mean f_queries - -> -, group_ops - -> -, rng_draws - -> -\n"
+        "gone: mean f_queries - -> -, group_ops - -> -, rng_draws - -> -\n"
     )
     assert fixed_seed_outputs.main(["--compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out == "identical\n"
@@ -55,6 +55,27 @@ def test_mean_f_queries_reads_solver_and_cli_records():
     assert fixed_seed_outputs.mean_f_queries(solver) == 4.5
     assert fixed_seed_outputs.mean_f_queries(cli) == 3.0
     assert fixed_seed_outputs.mean_f_queries([]) is None
+
+
+def test_compare_prints_mean_group_ops_and_draws(tmp_path, capsys):
+    """Work moved from counted solver work to the harness shows as the mean
+    group_ops and rng_draws beside the mean f_queries, on solver and
+    cli-suite pools alike."""
+    old = {
+        "s": [{"f_queries": 129, "group_ops": 120, "rng_draws": 0}],
+        "c": [{"report": {"stats": {"f_queries": 86, "group_ops": 40, "rng_draws": 3}}}],
+    }
+    new = {
+        "s": [{"f_queries": 20, "group_ops": 60, "rng_draws": 13}],
+        "c": [{"report": {"stats": {"f_queries": 14, "group_ops": 30, "rng_draws": 10}}}],
+    }
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    (tmp_path / "new.json").write_text(json.dumps(new))
+    assert fixed_seed_outputs.main(["--compare", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "c: mean f_queries 86.0 -> 14.0, group_ops 40.0 -> 30.0, rng_draws 3.0 -> 10.0" in lines
+    assert "s: mean f_queries 129.0 -> 20.0, group_ops 120.0 -> 60.0, rng_draws 0.0 -> 13.0" in lines
+    assert fixed_seed_outputs.mean_stat(new["c"], "rng_draws") == 10.0
 
 
 def test_changed_fields_name_nested_paths():

@@ -83,11 +83,12 @@ def test_commutator_budget_asserted_per_run():
     assert result.stats.f_queries <= result.f_query_budget
     import math
 
-    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)), 2)
+    expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
     assert result.f_query_budget == expected
-    # |G/HG'| = 9 labels plus k^2 = 4 from the decomposition, c = 3 queries
-    # each, and the scan of G' with f(1)
-    assert result.stats.f_queries >= 3 * (9 + 4) + 4
+    # H = G' = Z(G): the scan of G' with f(1), then HG'/G' is trivial, so the
+    # Abelian HSP certifies the trivial kernel with F(0) alone (c = 3
+    # f-queries), and no coset is scanned
+    assert result.stats.f_queries == (3 + 1) + 3
 
 
 def test_wreath_diagonal_subgroup():
@@ -259,12 +260,72 @@ def test_budget_formulas_respond_to_inputs():
     # more coset representatives or a bigger N never shrink the elem2 budget
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(9, 16, 2.0**-10)
     assert elem2_query_budget(3, 16, 2.0**-10) <= elem2_query_budget(3, 64, 2.0**-10)
-    # B1 grows with the number of generators of G and with the order bound
-    assert commutator_query_budget(8, 10, 2) < commutator_query_budget(8, 10, 3)
-    assert commutator_query_budget(8, 10, 2) < commutator_query_budget(8, 11, 2)
-    # c = 3, L = 5, k = 2: q = 32/3, rank s <= 4, so
-    # 3 * (32/3 + 4) + 4 + 3 * (2 + 10 + 5) = 99
-    assert commutator_query_budget(3, 5, 2) == 99
+    # B1 grows with the order bound, and with |G'| at a fixed |G/G'| bound
+    assert commutator_query_budget(8, 10) < commutator_query_budget(8, 11)
+    assert commutator_query_budget(8, 10) < commutator_query_budget(16, 11)
+    # c = 8, L = 10: q = 128 and s = 7, so 9 + 8 * (1 + 7 * 8) + 8 * 7 = 521
+    assert commutator_query_budget(8, 10) == 521
+    # c = 3, L = 5: q = 32/3 and s = 4, so 4 + 3 * (1 + 4 * 4.415) + 12, up
+    assert commutator_query_budget(3, 5) == 72
+
+
+@pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
+def test_commutator_queries_grow_like_the_commutator_subgroup(variant):
+    """On es(p), |G'| = p: with H trivial the solver makes 2p + 1 f-queries
+    (the scan of G' with f(1), and F(0) certifying the trivial kernel), and
+    with H = <g1> 3p + 2 (one kernel generator: its F-certificate and one
+    coset scan that stops at the first member); none grows with |G/G'| = p^2,
+    and each stays within B1."""
+    for p in (3, 5, 7, 11, 13):
+        G = make_group(GroupSpec(kind="extraspecial", p=p, variant=variant))
+        elements = enumerate_closure(G, G.generators)
+        for hidden, expected in (([], 2 * p + 1), ([G.generators[0]], 3 * p + 2)):
+            f = make_hiding_oracle(G, hidden, seed=p)
+            result = solve_small_commutator(G, f, SolverConfig(seed=p + 1))
+            assert result.stats.f_queries == expected, (p, len(hidden))
+            assert expected <= result.f_query_budget
+            _check(G, f, result, elements)
+
+
+def test_commutator_solver_makes_no_normal_closure_of_h(monkeypatch):
+    """HG' comes from one Abelian HSP over G/G': the solver builds no
+    presentation of G/HG' and runs the normal closure only for G'."""
+    from hsplab import normalsub
+
+    calls = []
+    for name in ("normal_closure", "abelian_quotient_presentation"):
+        real = getattr(normalsub, name)
+        monkeypatch.setattr(
+            normalsub, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a)
+        )
+    G = make_group(GroupSpec(kind="extraspecial", p=5))
+    f = make_hiding_oracle(G, [G.generators[1]], seed=3)
+    result = solve_small_commutator(G, f, SolverConfig(seed=4))
+    assert calls == ["normal_closure"]  # the one inside commutator_subgroup
+    assert len(enumerate_closure(G, result.gens)) == 5
+
+
+def test_solve_abelian_reads_h_off_the_hiding_generators():
+    """The ideal sampler takes H from the tuples of the generators the hiding
+    oracle was built from: no harness peek, and no pairwise closure check."""
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    f = make_hiding_oracle(G, [GroupElement(G.backend.encode((2, 3)))], seed=3)
+    before = G.stats.group_ops
+    result = solve_abelian(G, f, SolverConfig(seed=4))
+    assert f.harness_queries == 0
+    assert result.stats.group_ops == G.stats.group_ops - before == 27
+    assert len(enumerate_closure(G, result.gens)) == 2
+
+
+def test_provider_falls_back_for_generators_outside_the_group():
+    """A hidden generator outside <G.generators> has no tuple, so the ideal
+    sampler falls back to its collision search and H on G is still found."""
+    G = make_group(GroupSpec(kind="permutation", degree=4, perms=[[1, 0, 2, 3], [0, 1, 3, 2]]))
+    outside = GroupElement(G.backend.encode([1, 2, 0, 3]))
+    f = make_hiding_oracle(G, [outside, G.generators[0]], seed=5)
+    result = solve_abelian(G, f, SolverConfig(seed=6))
+    assert f.harness_queries > 0  # the collision search peeked
+    _check(G, f, result, enumerate_closure(G, G.generators))
 
 
 def _loaded_after_commutator_solve(module: str) -> bool:
