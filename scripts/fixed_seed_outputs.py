@@ -157,10 +157,6 @@ def mean_stat(pool: list, field: str) -> Optional[float]:
     return sum(counts) / len(counts) if counts else None
 
 
-def mean_f_queries(pool: list) -> Optional[float]:
-    return mean_stat(pool, "f_queries")
-
-
 def _mean_text(mean: Optional[float]) -> str:
     return "-" if mean is None else f"{mean:.1f}"
 

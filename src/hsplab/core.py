@@ -753,9 +753,7 @@ class HidingOracle:
     """
 
     label_length = 128
-    # harness-only, like peek: the generators make_hiding_oracle was given,
-    # for the ideal sampler's subgroup providers; None when not known
-    hidden_gens: Optional[list[GroupElement]] = None
+    _hidden_gens: Optional[list[GroupElement]] = None  # set by make_hiding_oracle
 
     def __init__(self, G: BlackBoxGroup, h_elements: Sequence[GroupElement], seed: int = 0):
         self.group = G
@@ -781,6 +779,10 @@ class HidingOracle:
         self.harness_queries += 1
         return self._label(g)
 
+    def hidden_gens(self) -> Optional[list[GroupElement]]:
+        """Harness-only, like peek: the generators H was built from, or None."""
+        return self._hidden_gens
+
 
 class CosetLabelOracle:
     """F: x -> sorted tuple of f-labels over x*C for a fixed enumerated C.
@@ -803,6 +805,10 @@ class CosetLabelOracle:
     def peek(self, g: GroupElement) -> str:
         return self._label(g, self.f.peek)
 
+    def hidden_gens(self) -> Optional[list[GroupElement]]:
+        """Harness-only: f's generators of H, which with C generate H*C."""
+        return self.f.hidden_gens()
+
 
 def make_hiding_oracle(
     G: BlackBoxGroup,
@@ -815,5 +821,5 @@ def make_hiding_oracle(
     for g in h_gens:
         G.backend.validate(g.bits)
     f = HidingOracle(G, enumerate_closure(G, h_gens, bound), seed=seed)
-    f.hidden_gens = list(h_gens)
+    f._hidden_gens = list(h_gens)
     return f

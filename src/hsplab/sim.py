@@ -342,6 +342,19 @@ def _kernel_provider(view: GroupView, images: Sequence) -> Callable:
     return lambda: decompose_abelian(_HarnessView(view), images).relations
 
 
+def _hiding_provider(view: GroupView, tuple_of: Callable) -> Callable:
+    """Harness provider for what a label view's oracle hides over a decomposed
+    group: the tuples of the generators that oracle was built from, or None
+    (unknown, or one has no tuple) so that the collision search runs."""
+
+    def provider():
+        gens = view.oracle.hidden_gens()
+        tuples = None if gens is None else [tuple_of(h) for h in gens]
+        return None if tuples is None or None in tuples else tuples
+
+    return provider
+
+
 def find_order(
     view: GroupView,
     g,

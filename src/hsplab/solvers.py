@@ -45,7 +45,7 @@ from .linalg import (
 )
 from .membership import constructive_membership
 from .normalsub import commutator_subgroup
-from .sim import QuantumFunctionOracle, SolverConfig, abelian_hsp, find_order
+from .sim import QuantumFunctionOracle, SolverConfig, _hiding_provider, abelian_hsp, find_order
 
 
 @dataclass
@@ -80,6 +80,8 @@ def commutator_query_budget(c: int, L: float) -> int:
     - one coset scan of at most c per kernel generator: c * s.
     So B1 = (c + 1) + c(1 + s(1 + log2 q)) + c * s.  Epsilon bounds only
     extra sampling rounds, which make no f-query, so it does not enter.
+    The statevector sampler instead writes F over all of G/G' each round,
+    c * |G/G'| f-queries; solve_small_commutator adds that per round drawn.
     """
     q = max(1.0, 2.0**L / c)
     s = ceil(log2(q))
@@ -101,25 +103,18 @@ def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
     return 8 * (v + 2) + 4 * r + n + v * (1 + rho * (rho + 1))
 
 
-def solve_abelian(
-    G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig
-) -> SubgroupResult:
+def solve_abelian(G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig) -> SubgroupResult:
     """Hidden subgroup of an Abelian black-box group, via its decomposition."""
     f_start = f.query_count
     ops_start = G.stats.group_ops
     dec = decompose_abelian(G, G.generators)
-    gens = _lifted_hsp(dec, f, cfg, f.hidden_gens)
-    stats = QueryStats(
-        f.query_count - f_start, G.stats.group_ops - ops_start, cfg.draws
-    )
+    gens = lifted_hsp(dec, f, cfg, provided=True)
+    stats = QueryStats(f.query_count - f_start, G.stats.group_ops - ops_start, cfg.draws)
     return SubgroupResult(gens, stats, "abelian")
 
 
 def solve_small_commutator(
-    G: BlackBoxGroup,
-    f: HidingOracle,
-    cfg: SolverConfig,
-    commutator_bound: int = 64,
+    G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig, commutator_bound: int = 64
 ) -> SubgroupResult:
     """Hidden subgroup when |G'| is small, by the H = H1 assembly:
     H1 is generated by H on G' together with one member of each coset
@@ -131,6 +126,7 @@ def solve_small_commutator(
     H*G'/G'."""
     f_start = f.query_count
     ops_start = G.stats.group_ops
+    rounds_start = cfg.draws  # one draw per sampling round
     identity = G.identity()
 
     # (1) enumerate G' as the normal closure of the generator commutators
@@ -145,27 +141,24 @@ def solve_small_commutator(
 
     # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
     dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
-    hgp = _lifted_hsp(dec, CosetLabelOracle(G, f, g_prime), cfg, f.hidden_gens)
+    hgp = lifted_hsp(dec, CosetLabelOracle(G, f, g_prime), cfg, provided=True)
 
     # (5) scan each coset x*G' in fixed bitstring order for a member of H
     picks = []
     for x in hgp:
         coset = sorted((G.multiply(x, c) for c in g_prime), key=G.key)
-        pick = next(y for y in coset if f.eval(y) == base)
-        picks.append(pick)
+        picks.append(next(y for y in coset if f.eval(y) == base))
 
     # (6) assemble H1
     gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
+    if cfg.backend == "statevector":
+        budget += (cfg.draws - rounds_start) * len(g_prime) * dec.structure.order
     used = f.query_count - f_start
     if used > budget:
         raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
-    stats = QueryStats(
-        f_queries=used,
-        group_ops=G.stats.group_ops - ops_start,
-        rng_draws=cfg.draws,
-    )
+    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)
     return SubgroupResult(gens, stats, "commutator", budget)
 
 
@@ -189,26 +182,14 @@ def check_elem2_normal(
     return n_elements
 
 
-def intersect_with_normal(
-    dec: AbelianDecomposition, f: HidingOracle, cfg: SolverConfig
-) -> list[GroupElement]:
-    """Generators of H on N via the Abelian HSP over N's decomposition."""
-    return _lifted_hsp(dec, f, cfg)
-
-
-def _lifted_hsp(dec: AbelianDecomposition, f, cfg: SolverConfig, hidden_gens=None) -> list:
+def lifted_hsp(dec: AbelianDecomposition, f, cfg: SolverConfig, provided: bool = False) -> list:
     """Generators, lifted to G, of the subgroup that the oracle f of G hides
-    over dec's group, by one Abelian HSP.  When that subgroup is the image of
-    <hidden_gens> and they lie in dec's group, the ideal sampler reads it off
-    their tuples (harness work) instead of searching for label collisions."""
-    def provider():
-        tuples = [dec.tuple_of(h) for h in hidden_gens]
-        return None if None in tuples else tuples
-
+    over dec's group (H on N when dec decomposes a normal N), by one Abelian
+    HSP.  With `provided`, the ideal sampler reads that subgroup off the
+    generators f was built from instead of searching for label collisions."""
     view = LabelQuotientView(f.group, f)
-    oracle = QuantumFunctionOracle(
-        dec.structure, view, dec.element_of, None if hidden_gens is None else provider
-    )
+    provider = _hiding_provider(view, dec.tuple_of) if provided else None
+    oracle = QuantumFunctionOracle(dec.structure, view, dec.element_of, provider)
     return [dec.element_of(t) for t in abelian_hsp(oracle, cfg)]
 
 
@@ -248,7 +229,7 @@ def _solve_elem2(
     ops_start = G.stats.group_ops
     n_elements = check_elem2_normal(G, n_gens)
     dec = decompose_abelian(G, list(n_gens))
-    h_cap_n = intersect_with_normal(dec, f, cfg.child("cap"))
+    h_cap_n = lifted_hsp(dec, f, cfg.child("cap"))
     reps = coset_reps(CosetQuotientView(G, n_elements))
     picks = [
         coset_intersection_pick(G, dec, f, z, cfg.child("pick"))

@@ -52,9 +52,9 @@ def test_compare_prints_both_counts(tmp_path, capsys):
 def test_mean_f_queries_reads_solver_and_cli_records():
     solver = [{"f_queries": 2}, {"f_queries": 7}, {"error": "E", "answer": None}]
     cli = [{"report": {"stats": {"f_queries": 3}}}, {"report": {"error": "spec error"}}]
-    assert fixed_seed_outputs.mean_f_queries(solver) == 4.5
-    assert fixed_seed_outputs.mean_f_queries(cli) == 3.0
-    assert fixed_seed_outputs.mean_f_queries([]) is None
+    assert fixed_seed_outputs.mean_stat(solver, "f_queries") == 4.5
+    assert fixed_seed_outputs.mean_stat(cli, "f_queries") == 3.0
+    assert fixed_seed_outputs.mean_stat([], "f_queries") is None
 
 
 def test_compare_prints_mean_group_ops_and_draws(tmp_path, capsys):

@@ -21,7 +21,7 @@ from hsplab.solvers import (
     commutator_query_budget,
     coset_intersection_pick,
     elem2_query_budget,
-    intersect_with_normal,
+    lifted_hsp,
     solve_abelian,
     solve_elem2_cyclic,
     solve_elem2_small_quotient,
@@ -89,6 +89,26 @@ def test_commutator_budget_asserted_per_run():
     # Abelian HSP certifies the trivial kernel with F(0) alone (c = 3
     # f-queries), and no coset is scanned
     assert result.stats.f_queries == (3 + 1) + 3
+
+
+@pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
+def test_commutator_solver_statevector_backend(variant):
+    """Under the statevector sampler each round writes F over all of G/G'
+    (|G'| * |G/G'| f-queries); B1 grows by that per round drawn, so the
+    solve stays within its budget."""
+    E = make_group(GroupSpec(kind="extraspecial", p=3, variant=variant))
+    elements = enumerate_closure(E, E.generators)
+    f = make_hiding_oracle(E, [E.generators[0]], seed=61)
+    cfg = SolverConfig(seed=62, backend="statevector")
+    result = solve_small_commutator(E, f, cfg)
+    _check(E, f, result, elements)
+    rounds = result.stats.rng_draws
+    assert rounds > 0
+    import math
+
+    ideal = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
+    assert result.f_query_budget == ideal + rounds * 3 * 9
+    assert result.stats.f_queries <= result.f_query_budget
 
 
 def test_wreath_diagonal_subgroup():
@@ -175,7 +195,7 @@ def test_intersect_with_normal_z2_4():
     h = [GroupElement(G.backend.encode((1, 1, 0, 0))), GroupElement(G.backend.encode((0, 0, 1, 1)))]
     f = make_hiding_oracle(G, h, seed=67)
     dec = decompose_abelian(G, G.generators)
-    gens = intersect_with_normal(dec, f, SolverConfig(seed=68))
+    gens = lifted_hsp(dec, f, SolverConfig(seed=68))
     assert subgroup_key(G, enumerate_closure(G, gens)) == subgroup_key(
         G, enumerate_closure(G, h)
     )
