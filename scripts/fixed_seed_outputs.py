@@ -17,8 +17,10 @@ that compute the same thing write byte-identical files.
 The second form prints ``identical``, or the number of instances whose
 outputs differ and the number whose answers differ as subgroups, followed by
 each pool's mean ``f_queries``, ``group_ops`` and ``rng_draws``, old -> new,
-and each field path that changed with its count of differing instances
-(``commutator-es/1: f_queries 48, rng_draws 48``); it exits 0 either way.
+its largest ``f_queries / f_query_budget``, old -> new, when either side has
+a budget, and each field path that changed with its count of differing
+instances (``commutator-es/1: f_queries 48, rng_draws 48``); it exits 0
+either way.
 """
 
 from __future__ import annotations
@@ -157,8 +159,15 @@ def mean_stat(pool: list, field: str) -> Optional[float]:
     return sum(counts) / len(counts) if counts else None
 
 
-def _mean_text(mean: Optional[float]) -> str:
-    return "-" if mean is None else f"{mean:.1f}"
+def largest_budget_use(pool: list) -> Optional[float]:
+    """Largest f_queries / f_query_budget over a pool's instances that have
+    a budget; None when none has."""
+    uses = [r["f_queries"] / r["f_query_budget"] for r in pool if r.get("f_query_budget")]
+    return max(uses) if uses else None
+
+
+def _text(value: Optional[float], spec: str = ".1f") -> str:
+    return "-" if value is None else format(value, spec)
 
 
 def main(argv=None) -> int:
@@ -176,10 +185,13 @@ def main(argv=None) -> int:
             for pool in sorted(set(old) | set(new)):
                 a, b = old.get(pool, []), new.get(pool, [])
                 means = (
-                    f"{field} {_mean_text(mean_stat(a, field))} -> {_mean_text(mean_stat(b, field))}"
+                    f"{field} {_text(mean_stat(a, field))} -> {_text(mean_stat(b, field))}"
                     for field in MEAN_FIELDS
                 )
                 print(f"{pool}: mean " + ", ".join(means))
+                uses = [_text(largest_budget_use(side), ".3f") for side in (a, b)]
+                if uses != ["-", "-"]:
+                    print(f"{pool}: largest budget use " + " -> ".join(uses))
                 if counts := field_counts(a, b):
                     print(f"{pool}: " + ", ".join(f"{f} {n}" for f, n in sorted(counts.items())))
         return 0

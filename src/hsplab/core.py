@@ -805,9 +805,35 @@ class CosetLabelOracle:
     def peek(self, g: GroupElement) -> str:
         return self._label(g, self.f.peek)
 
+    def first_member(self, g: GroupElement) -> Optional[GroupElement]:
+        """The first y of g*C in key order with f(y) = f(1), a member of H,
+        or None: g*C meets H iff F(g) = F(1), so this certifies g in H*C."""
+        G, base = self.group, self.f.eval(self.group.identity())
+        coset = sorted((G.multiply(g, c) for c in self.c_elements), key=G.key)
+        return next((y for y in coset if self.f.eval(y) == base), None)
+
     def hidden_gens(self) -> Optional[list[GroupElement]]:
         """Harness-only: f's generators of H, which with C generate H*C."""
         return self.f.hidden_gens()
+
+
+class RecordedOracle:
+    """f as one solve sees it: `eval` asks f once per element and keeps the
+    label, so `query_count` counts the calls the solve made to f; f's other
+    attributes read through.  Every solver wraps its f in one at its start."""
+
+    def __init__(self, f: HidingOracle):
+        self.f, self.query_count, self._labels = f, 0, {}
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def eval(self, g: GroupElement) -> str:
+        label = self._labels.get(g.value)
+        if label is None:
+            label = self._labels[g.value] = self.f.eval(g)
+            self.query_count += 1
+        return label
 
 
 def make_hiding_oracle(

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import BlackBoxGroup, GroupElement, HidingOracle, enumerate_closure, enum_bound
+from .core import BlackBoxGroup, GroupElement, HidingOracle, RecordedOracle
+from .core import enumerate_closure, enum_bound
 from .errors import NotAbelian, QuotientNotAbelian
 from .linalg import LabelQuotientView, decompose_abelian
 from .sim import SolverConfig
@@ -110,5 +111,5 @@ def hidden_normal_subgroup(
     orders and checked commutation, S0 because the decomposition's
     coordinates express each generator exactly modulo N.  Nothing is
     sampled, so `cfg` draws nothing."""
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
+    p = abelian_quotient_presentation(LabelQuotientView(G, RecordedOracle(f)))
     return normal_closure(G, relator_values(G, p) + generator_quotients(G, p))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, cached_property
 from math import ceil, gcd, log2
 from typing import Callable, Optional, Sequence
 
@@ -142,12 +143,13 @@ class QuantumFunctionOracle:
         view: GroupView,
         elem: Callable[[tuple], object],
         subgroup_provider: Optional[Callable[[], list[tuple]]] = None,
+        member: Optional[Callable] = None,
     ):
         self.structure = structure
         self._view = view
         self._elem = elem
         self._provider = subgroup_provider
-        self._ideal_cache: Optional[dict] = None
+        self._member = member
 
     def eval(self, t: Sequence[int]) -> str:
         return self._view.key(self._elem(self.structure.reduce(t)))
@@ -155,12 +157,25 @@ class QuantumFunctionOracle:
     def peek(self, t: Sequence[int]) -> str:
         return self._view.hkey(self._elem(self.structure.reduce(t)))
 
+    def certifies(self, t: Sequence[int], base: str) -> bool:
+        """Whether t is in the hidden subgroup, on the counted path: f(t) = base
+        = f(0), or, when `member` is set, member(elem(t)) finds a witness."""
+        if self._member is None:
+            return self.eval(t) == base
+        return self._member(self._elem(self.structure.reduce(t))) is not None
+
     def hidden_subgroup_gens(self) -> list[tuple]:
         """Harness-side determination of the hidden subgroup's generators."""
         provided = None if self._provider is None else self._provider()
         if provided is not None:
             return [self.structure.reduce(t) for t in provided]
         return self._collision_search()
+
+    @cached_property
+    def _ideal_state(self) -> tuple[list, list]:
+        """The hidden subgroup's generators and H-perp, found once per oracle."""
+        h_gens = self.hidden_subgroup_gens()
+        return h_gens, subgroup_elements(self.structure, dual_subgroup(self.structure, h_gens))
 
     def _collision_search(self) -> list[tuple]:
         A = self.structure
@@ -176,24 +191,14 @@ class QuantumFunctionOracle:
         return [t for t in row_basis(members) if any(x % m for x, m in zip(t, A.moduli))]
 
 
-def _ideal_state(f: QuantumFunctionOracle) -> dict:
-    if f._ideal_cache is None:
-        h_gens = f.hidden_subgroup_gens()
-        A = f.structure
-        perp = subgroup_elements(A, dual_subgroup(A, h_gens))
-        f._ideal_cache = {"h_gens": h_gens, "perp": perp}
-    return f._ideal_cache
-
-
 def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> tuple[int, ...]:
     """One Fourier-sampling round: a character, as its coefficient tuple,
     drawn uniformly from H-perp."""
     if backend == "ideal":
-        state = _ideal_state(f)
-        perp = state["perp"]
+        h_gens, perp = f._ideal_state
         draw = perp[rng.randrange(len(perp))]
         # sanity: the draw annihilates the hidden subgroup it was derived from
-        if any(f.structure.pairing(draw, h) for h in state["h_gens"]):
+        if any(f.structure.pairing(draw, h) for h in h_gens):
             raise InvariantBroken(f"character {draw} does not annihilate the hidden subgroup")
         return draw
     if backend == "statevector":
@@ -248,13 +253,13 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
 
     Draws characters and maintains the joint kernel, which always contains
     H.  Once the kernel is unchanged for ceil(log2(1/epsilon)) consecutive
-    rounds it is certified: it equals H iff f(t) = f(0) for each of its
-    generators t (counted evals).  A kernel that fails is too large, so it
-    is not certified again; sampling goes on until it shrinks.  Epsilon
-    bounds only the chance of extra rounds, never of a wrong answer.  Each
-    certified kernel has at most k generators (k cyclic factors) and the
-    kernels strictly descend, so one call's certificates cost at most
-    1 + k * (1 + log2|A|) evals.
+    rounds it is certified: it equals H iff each of its generators t passes
+    `f.certifies`, f(t) = f(0) by default (counted evals, f(0) asked once).
+    A kernel that fails is too large, so it is not certified again; sampling
+    goes on until it shrinks.  Epsilon bounds only the chance of extra
+    rounds, never of a wrong answer.  Each certified kernel has at most k
+    generators (k cyclic factors) and the kernels strictly descend, so one
+    call's certificates cost at most 1 + k * (1 + log2|A|) tests.
     """
     structure = f.structure
     if not structure.moduli or structure.order == 1:
@@ -272,7 +277,7 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
             gens = [t for t in kernel_gens if any(t)]
             if base is None:
                 base = f.eval(structure.zero())
-            if all(f.eval(t) == base for t in gens):
+            if all(f.certifies(t, base) for t in gens):
                 return gens
             refuted = True
         rounds += 1
@@ -312,18 +317,12 @@ def order_from_multiple(view: GroupView, g, m: int) -> int:
 
 def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
     """Oracle k -> label(g^k) over Z_m, with a harness order provider."""
-    cache: dict[int, object] = {}
-
-    def elem(t):
-        k = t[0]
-        if k not in cache:
-            cache[k] = view.power(g, k)
-        return cache[k]
 
     def provider():
         d = order_from_multiple(view, g, m)
         return [(d % m,)] if d < m else []
 
+    elem = cache(lambda t: view.power(g, t[0]))
     return QuantumFunctionOracle(AbelianStructure((m,)), view, elem, provider)
 
 

@@ -21,6 +21,7 @@ from .core import (
     GroupElement,
     HidingOracle,
     QueryStats,
+    RecordedOracle,
     _factor,
     enumerate_closure,
     enum_bound,
@@ -70,22 +71,21 @@ def commutator_query_budget(c: int, L: float) -> int:
     c = |G'|, L = log2 of the order bound, q = 2^L / c >= |G/G'| and
     s = ceil(log2 q), which bounds the number of prime-power cyclic factors
     of G/G' (each has order at least 2), so the number of kernel generators
-    too.  Each F-evaluation, F(x) the sorted f-labels over x*G', costs c
-    f-queries.  The solver's f-queries are:
-    - the scan of G' for H on G', f(1) included: c + 1;
-    - the certificates of the one Abelian HSP over G/G': F(0) once, then at
-      most s generators per certified kernel, and at most 1 + log2 q
-      kernels, since each one certified strictly contains the next:
-      c(1 + s(1 + log2 q));
-    - one coset scan of at most c per kernel generator: c * s.
-    So B1 = (c + 1) + c(1 + s(1 + log2 q)) + c * s.  Epsilon bounds only
-    extra sampling rounds, which make no f-query, so it does not enter.
-    The statevector sampler instead writes F over all of G/G' each round,
-    c * |G/G'| f-queries; solve_small_commutator adds that per round drawn.
+    too.  f is asked at most once per element, so the solver's f-queries are:
+    - the scan of G' for H on G', f(1) included: c;
+    - the certificates of the one Abelian HSP over G/G', F(0) being read
+      off that scan: a scan of x*G' of at most c per kernel generator x, at
+      most s per certified kernel and at most 1 + log2 q kernels, since
+      each one certified strictly contains the next: c * s * (1 + log2 q);
+    - no coset scan: each pick is the member of H a certificate stopped at.
+    So B1 = c + c * s * (1 + log2 q).  Epsilon bounds only extra sampling
+    rounds, which make no f-query, so it does not enter.  The statevector
+    sampler instead writes F over all of G/G', c * |G/G'| f-queries once
+    per solve; solve_small_commutator adds that.
     """
     q = max(1.0, 2.0**L / c)
     s = ceil(log2(q))
-    return ceil((c + 1) + c * (1 + s * (1 + log2(q))) + c * s)
+    return ceil(c + c * s * (1 + log2(q)))
 
 
 def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
@@ -96,7 +96,8 @@ def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
     Abelian HSP finds H on N and one probes each of the other v - 1
     representatives, over Z2 x N, of rank rho = 1 + log2 n.  Each call
     certifies at most rho + 1 descending kernels of at most rho generators,
-    after f(0) once: 1 + rho * (rho + 1) evals.
+    after f(0) once: 1 + rho * (rho + 1) evals.  The statevector sampler
+    also writes f over each coset z*N a pick sweeps: _solve_elem2 adds that.
     """
     r = max(1, ceil(log2(1.0 / epsilon)))
     rho = n.bit_length()
@@ -105,11 +106,11 @@ def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
 
 def solve_abelian(G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig) -> SubgroupResult:
     """Hidden subgroup of an Abelian black-box group, via its decomposition."""
-    f_start = f.query_count
+    f = RecordedOracle(f)
     ops_start = G.stats.group_ops
     dec = decompose_abelian(G, G.generators)
     gens = lifted_hsp(dec, f, cfg, provided=True)
-    stats = QueryStats(f.query_count - f_start, G.stats.group_ops - ops_start, cfg.draws)
+    stats = QueryStats(f.query_count, G.stats.group_ops - ops_start, cfg.draws)
     return SubgroupResult(gens, stats, "abelian")
 
 
@@ -124,10 +125,8 @@ def solve_small_commutator(
     F hides H*G'/G' in the Abelian group G/G'.  G/G' is decomposed once,
     with group operations and no f-query, and one Abelian HSP over it finds
     H*G'/G'."""
-    f_start = f.query_count
+    f = RecordedOracle(f)
     ops_start = G.stats.group_ops
-    rounds_start = cfg.draws  # one draw per sampling round
-    identity = G.identity()
 
     # (1) enumerate G' as the normal closure of the generator commutators
     try:
@@ -135,27 +134,25 @@ def solve_small_commutator(
     except BoundExceeded as exc:
         raise CommutatorBoundExceeded(str(exc)) from exc
 
-    # (2) H on G' by direct scan
-    base = f.eval(identity)
+    # (2) H on G' by direct scan, f(1) among it
+    base = f.eval(G.identity())
     h_cap_gprime = [x for x in g_prime if f.eval(x) == base]
 
     # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
     dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
-    hgp = lifted_hsp(dec, CosetLabelOracle(G, f, g_prime), cfg, provided=True)
+    F = CosetLabelOracle(G, f, g_prime)
+    hgp = lifted_hsp(dec, F, cfg, provided=True, member=F.first_member)
 
-    # (5) scan each coset x*G' in fixed bitstring order for a member of H
-    picks = []
-    for x in hgp:
-        coset = sorted((G.multiply(x, c) for c in g_prime), key=G.key)
-        picks.append(next(y for y in coset if f.eval(y) == base))
+    # (5) the first member of H in each x*G', found by x's certificate: no f-query
+    picks = [F.first_member(x) for x in hgp]
 
     # (6) assemble H1
     gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
     if cfg.backend == "statevector":
-        budget += (cfg.draws - rounds_start) * len(g_prime) * dec.structure.order
-    used = f.query_count - f_start
+        budget += len(g_prime) * dec.structure.order
+    used = f.query_count
     if used > budget:
         raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
     stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)
@@ -182,14 +179,17 @@ def check_elem2_normal(
     return n_elements
 
 
-def lifted_hsp(dec: AbelianDecomposition, f, cfg: SolverConfig, provided: bool = False) -> list:
+def lifted_hsp(
+    dec: AbelianDecomposition, f, cfg: SolverConfig, provided: bool = False, member=None
+) -> list:
     """Generators, lifted to G, of the subgroup that the oracle f of G hides
     over dec's group (H on N when dec decomposes a normal N), by one Abelian
     HSP.  With `provided`, the ideal sampler reads that subgroup off the
-    generators f was built from instead of searching for label collisions."""
+    generators f was built from instead of searching for label collisions;
+    `member`, when given, certifies kernel generators in place of f(t) = f(0)."""
     view = LabelQuotientView(f.group, f)
     provider = _hiding_provider(view, dec.tuple_of) if provided else None
-    oracle = QuantumFunctionOracle(dec.structure, view, dec.element_of, provider)
+    oracle = QuantumFunctionOracle(dec.structure, view, dec.element_of, provider, member)
     return [dec.element_of(t) for t in abelian_hsp(oracle, cfg)]
 
 
@@ -225,7 +225,7 @@ def _solve_elem2(
     """The frame both elem2 solvers share: check N, find H on N, probe each
     coset representative V = coset_reps(G/N) but the first (the identity)
     for a member of H, and assemble H from the picks and H on N."""
-    f_start = f.query_count
+    f = RecordedOracle(f)
     ops_start = G.stats.group_ops
     n_elements = check_elem2_normal(G, n_gens)
     dec = decompose_abelian(G, list(n_gens))
@@ -238,7 +238,9 @@ def _solve_elem2(
     gens = [G.multiply(G.invert(cp.u), cp.z) for cp in picks if cp.u is not None]
     gens += [x for x in h_cap_n if not G.is_identity(x)]
     budget = elem2_query_budget(len(reps), len(n_elements), cfg.epsilon)
-    used = f.query_count - f_start
+    if cfg.backend == "statevector":
+        budget += len(n_elements) * (len(reps) - 1)
+    used = f.query_count
     if used > budget:
         raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
     stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)

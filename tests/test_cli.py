@@ -315,8 +315,10 @@ def test_golden_reports(tmp_path, case):
 
 def test_elem2_budget_covers_certificates_with_h_equal_to_g(tmp_path, monkeypatch):
     """Two affine k=4 factors with H = G: N = Z2^8 and |G/N| = 225, so each of
-    the 224 probes certifies all of Z2 x N at 10 f-queries, 2,249 in all,
-    which B2 must cover.  Enumerating H = G (57,600 elements) and the
+    the 224 probes certifies all of Z2 x N with 10 tests, which B2 must
+    cover.  f(1) and the 8 generators of N are asked once, 9 f-queries, and
+    each probe asks f of its coset representative anew: 233 in all.
+    Enumerating H = G (57,600 elements) and the
     harness's collision search would take minutes, so f and the hidden
     subgroups of the probes are given their H = G values directly."""
     part = GOLDEN["specs"]["affine4.grp"]
@@ -340,4 +342,4 @@ def test_elem2_budget_covers_certificates_with_h_equal_to_g(tmp_path, monkeypatc
     code, report = run(RunConfig(str(tmp_path / "p.grp"), hidden=",".join(gens), seed=1))
     assert code == 0, report.get("error")
     assert report["method"] == "elem2-small"
-    assert report["stats"]["f_queries"] == 2249
+    assert report["stats"]["f_queries"] == 9 + 224

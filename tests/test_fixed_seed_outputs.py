@@ -92,3 +92,29 @@ def test_changed_fields_name_nested_paths():
         "report.stats.f_queries": 2,
         "report.generators": 2,
     }
+
+
+def test_compare_prints_the_largest_budget_use(tmp_path, capsys):
+    """Each pool with a budget on either side gets its largest
+    f_queries / f_query_budget, old -> new; a pool without one gets no line."""
+    old = {
+        "s": [
+            {"f_queries": 20, "f_query_budget": 160},
+            {"f_queries": 9, "f_query_budget": 50},
+            {"error": "E", "answer": None},
+        ],
+        "c": [{"report": {"stats": {"f_queries": 14}}}],
+    }
+    new = {
+        "s": [{"f_queries": 8, "f_query_budget": 160}, {"f_queries": 4, "f_query_budget": 50}],
+        "c": [{"report": {"stats": {"f_queries": 6}}}],
+    }
+    assert fixed_seed_outputs.largest_budget_use(old["s"]) == 0.18
+    assert fixed_seed_outputs.largest_budget_use(old["c"]) is None
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, dump in zip(paths, (old, new)):
+        path.write_text(json.dumps(dump))
+    assert fixed_seed_outputs.main(["--compare", *map(str, paths)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "s: largest budget use 0.180 -> 0.080" in lines
+    assert not any(line.startswith("c: largest") for line in lines)

@@ -85,17 +85,17 @@ def test_commutator_budget_asserted_per_run():
 
     expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
     assert result.f_query_budget == expected
-    # H = G' = Z(G): the scan of G' with f(1), then HG'/G' is trivial, so the
-    # Abelian HSP certifies the trivial kernel with F(0) alone (c = 3
-    # f-queries), and no coset is scanned
-    assert result.stats.f_queries == (3 + 1) + 3
+    # H = G' = Z(G): the scan of G', f(1) among it (c = 3 f-queries); HG'/G'
+    # is trivial, so the Abelian HSP certifies the trivial kernel with F(0),
+    # the labels over G' read off the record, and no coset is scanned
+    assert result.stats.f_queries == 3
 
 
 @pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
 def test_commutator_solver_statevector_backend(variant):
-    """Under the statevector sampler each round writes F over all of G/G'
-    (|G'| * |G/G'| f-queries); B1 grows by that per round drawn, so the
-    solve stays within its budget."""
+    """Under the statevector sampler the rounds write F over all of G/G',
+    |G'| * |G/G'| f-queries once per solve since f is asked once per
+    element; B1 grows by that, so the solve stays within its budget."""
     E = make_group(GroupSpec(kind="extraspecial", p=3, variant=variant))
     elements = enumerate_closure(E, E.generators)
     f = make_hiding_oracle(E, [E.generators[0]], seed=61)
@@ -107,8 +107,82 @@ def test_commutator_solver_statevector_backend(variant):
     import math
 
     ideal = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
-    assert result.f_query_budget == ideal + rounds * 3 * 9
+    assert result.f_query_budget == ideal + 3 * 9
     assert result.stats.f_queries <= result.f_query_budget
+
+
+@pytest.mark.parametrize(
+    "variant,gens", [("exponent-p", ["6:10"]), ("exponent-p2", ["6:4", "6:18", "6:c"])]
+)
+def test_statevector_commutator_draws_unchanged_by_the_record(monkeypatch, variant, gens):
+    """The statevector state is built from the full F labels whether or not f
+    is asked again, so a seeded solve draws the same characters, and returns
+    the same generators, as when every label was asked of f anew."""
+    from hsplab import sim
+
+    draws = []
+    real = sim.sample_character
+    monkeypatch.setattr(sim, "sample_character", lambda *a: draws.append(real(*a)) or draws[-1])
+    E = make_group(GroupSpec(kind="extraspecial", p=3, variant=variant))
+    f = make_hiding_oracle(E, [E.generators[0]], seed=61)
+    result = solve_small_commutator(E, f, SolverConfig(seed=62, backend="statevector"))
+    assert [c[1] for c in draws] == [2, 0, 2, 0, 1, 2, 1, 1, 0, 2, 2]
+    assert all(c[0] == 0 for c in draws)
+    assert [g.hex for g in result.gens] == gens
+
+
+@pytest.mark.parametrize(
+    "k,solve", [(2, solve_elem2_small_quotient), (3, solve_elem2_cyclic)], ids=["small", "cyclic"]
+)
+def test_elem2_statevector_solves_within_budget(k, solve):
+    """Under the statevector sampler the rounds write f over N and over each
+    coset z*N a pick sweeps; f is asked once per element and B2 grows by
+    n * (v - 1) for the sweeps, so both elem2 solvers finish within it.  (On
+    affine k=4 the cyclic solver's order finding over Z_|GL(5, 2)| is past
+    the statevector cap; the wreath group's order bound is 2^(2k + 1).)"""
+    G = make_group(GroupSpec(kind="wreath", k=k))
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    swap = GroupElement(G.backend.encode(0, 0, 1))
+    f = make_hiding_oracle(G, [G.multiply(swap, n_gens[0])], seed=81)
+    result = solve(G, n_gens, f, SolverConfig(seed=82, backend="statevector"))
+    _check(G, f, result, enumerate_closure(G, G.generators))
+    assert result.stats.f_queries <= result.f_query_budget
+
+
+def _spied(f):
+    """The elements f is asked, in order, recorded by wrapping its eval."""
+    asked, real = [], f.eval
+    f.eval = lambda g: asked.append(g) or real(g)
+    return asked
+
+
+def _normal_subgroup(G, f, cfg):
+    from hsplab.normalsub import hidden_normal_subgroup
+
+    return hidden_normal_subgroup(G, f, cfg)
+
+
+@pytest.mark.parametrize(
+    "kind,spec,solve",
+    [
+        ("abelian", GroupSpec(kind="abelian", moduli=(4, 6)), solve_abelian),
+        ("commutator", GroupSpec(kind="extraspecial", p=3), solve_small_commutator),
+        ("elem2-small", GroupSpec(kind="wreath", k=2), solve_elem2_small_quotient),
+        ("elem2-cyclic", None, solve_elem2_cyclic),
+        ("normal", GroupSpec(kind="extraspecial", p=3), _normal_subgroup),
+    ],
+)
+def test_each_solver_asks_each_element_once(kind, spec, solve):
+    """A solve keeps the labels f gave it, so no element is asked twice."""
+    G = affine4_group() if spec is None else make_group(spec)
+    if kind.startswith("elem2"):
+        n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+        solve = lambda G, f, cfg, _solve=solve: _solve(G, n_gens, f, cfg)  # noqa: E731
+    hidden = [G.commutator(*G.generators[:2])] if kind == "normal" else [G.generators[0]]
+    f = make_hiding_oracle(G, hidden, seed=83)
+    asked = _spied(f)
+    solve(G, f, SolverConfig(seed=84))
+    assert asked and len(asked) == len(set(asked)) == f.query_count
 
 
 def test_wreath_diagonal_subgroup():
@@ -283,23 +357,23 @@ def test_budget_formulas_respond_to_inputs():
     # B1 grows with the order bound, and with |G'| at a fixed |G/G'| bound
     assert commutator_query_budget(8, 10) < commutator_query_budget(8, 11)
     assert commutator_query_budget(8, 10) < commutator_query_budget(16, 11)
-    # c = 8, L = 10: q = 128 and s = 7, so 9 + 8 * (1 + 7 * 8) + 8 * 7 = 521
-    assert commutator_query_budget(8, 10) == 521
-    # c = 3, L = 5: q = 32/3 and s = 4, so 4 + 3 * (1 + 4 * 4.415) + 12, up
-    assert commutator_query_budget(3, 5) == 72
+    # c = 8, L = 10: q = 128 and s = 7, so 8 + 8 * 7 * 8 = 456
+    assert commutator_query_budget(8, 10) == 456
+    # c = 3, L = 5: q = 32/3 and s = 4, so 3 + 3 * 4 * 4.415, rounded up
+    assert commutator_query_budget(3, 5) == 56
 
 
 @pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
 def test_commutator_queries_grow_like_the_commutator_subgroup(variant):
-    """On es(p), |G'| = p: with H trivial the solver makes 2p + 1 f-queries
-    (the scan of G' with f(1), and F(0) certifying the trivial kernel), and
-    with H = <g1> 3p + 2 (one kernel generator: its F-certificate and one
-    coset scan that stops at the first member); none grows with |G/G'| = p^2,
-    and each stays within B1."""
+    """On es(p), |G'| = p: with H trivial the solver makes p f-queries (the
+    scan of G', f(1) among it; F(0) certifying the trivial kernel is read
+    off the record), and with H = <g1> p + 1 (one kernel generator, whose
+    coset scan stops at its first element, a member of H and the pick);
+    none grows with |G/G'| = p^2, and each stays within B1."""
     for p in (3, 5, 7, 11, 13):
         G = make_group(GroupSpec(kind="extraspecial", p=p, variant=variant))
         elements = enumerate_closure(G, G.generators)
-        for hidden, expected in (([], 2 * p + 1), ([G.generators[0]], 3 * p + 2)):
+        for hidden, expected in (([], p), ([G.generators[0]], p + 1)):
             f = make_hiding_oracle(G, hidden, seed=p)
             result = solve_small_commutator(G, f, SolverConfig(seed=p + 1))
             assert result.stats.f_queries == expected, (p, len(hidden))
