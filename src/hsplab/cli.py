@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .core import (
     BlackBoxGroup,
     GroupElement,
-    QueryStats,
+    SubgroupResult,
     enumerate_closure,
     make_group,
     make_hiding_oracle,
@@ -28,7 +28,6 @@ from .errors import BadSpec, CommutatorBoundExceeded, HspError, UnsupportedInsta
 from .normalsub import hidden_normal_subgroup
 from .sim import SolverConfig, splitmix64
 from .solvers import (
-    SubgroupResult,
     solve_abelian,
     solve_elem2_cyclic,
     solve_elem2_small_quotient,
@@ -103,11 +102,7 @@ def _dispatch(G: BlackBoxGroup, f, solver: str, cfg: SolverConfig) -> SubgroupRe
     if solver == "commutator":
         return solve_small_commutator(G, f, cfg)
     if solver == "normal":
-        start = f.query_count
-        ops = G.stats.group_ops
-        n = hidden_normal_subgroup(G, f, cfg)
-        stats = QueryStats(f.query_count - start, G.stats.group_ops - ops, cfg.draws)
-        return SubgroupResult(n.gens, stats, "normal")
+        return hidden_normal_subgroup(G, f, cfg)
     if solver in ("elem2-small", "elem2-cyclic"):
         n_bits = G.meta.get("elem2_normal_gens")
         if not n_bits:

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import factorial, prod
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BadSpec, BoundExceeded, InvalidEncoding
+from .errors import BadSpec, BoundExceeded, BudgetExceeded, InvalidEncoding
 
 DEFAULT_ENUM_BOUND = 4096
 MAX_ENCODING_BITS = 1 << 16  # longest length:hex token accepted
@@ -119,6 +119,15 @@ class QueryStats:
     f_queries: int = 0
     group_ops: int = 0
     rng_draws: int = 0
+
+
+@dataclass
+class SubgroupResult:
+    gens: list[GroupElement]
+    stats: QueryStats
+    method: str
+    f_query_budget: int
+    coset_reps: Optional[list[GroupElement]] = None  # V, for the elem2 solvers
 
 
 def _coset_keys(G: BlackBoxGroup, members: Sequence[GroupElement], label=None) -> Callable:
@@ -817,13 +826,15 @@ class CosetLabelOracle:
         return self.f.hidden_gens()
 
 
-class RecordedOracle:
-    """f as one solve sees it: `eval` asks f once per element and keeps the
-    label, so `query_count` counts the calls the solve made to f; f's other
-    attributes read through.  Every solver wraps its f in one at its start."""
+class SolveFrame:
+    """One solve's f, counters and budget check; every solver opens one on
+    its f and config when it starts and returns through `result`.  `eval`
+    asks f once per element and keeps the label, so `query_count` counts the
+    calls the solve made to f; f's other attributes read through."""
 
-    def __init__(self, f: HidingOracle):
-        self.f, self.query_count, self._labels = f, 0, {}
+    def __init__(self, f: HidingOracle, cfg):
+        self.f, self.cfg, self.query_count, self._labels = f, cfg, 0, {}
+        self._ops_start = f.group.stats.group_ops
 
     def __getattr__(self, name):
         return getattr(self.f, name)
@@ -834,6 +845,15 @@ class RecordedOracle:
             label = self._labels[g.value] = self.f.eval(g)
             self.query_count += 1
         return label
+
+    def result(self, gens, method: str, budget: int, coset_reps=None) -> SubgroupResult:
+        """The solve's answer with its counters; BudgetExceeded when it asked
+        f more than `budget` times."""
+        used = self.query_count
+        if used > budget:
+            raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
+        stats = QueryStats(used, self.f.group.stats.group_ops - self._ops_start, self.cfg.draws)
+        return SubgroupResult(gens, stats, method, budget, coset_reps)
 
 
 def make_hiding_oracle(

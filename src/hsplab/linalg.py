@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -63,11 +64,13 @@ class AbelianStructure:
     def neg(self, a: Sequence[int]) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
+    def units(self) -> list[tuple[int, ...]]:
+        """The unit tuples of the non-trivial factors, which generate the group."""
+        k = len(self.moduli)
+        return [tuple(int(i == j) for j in range(k)) for i, m in enumerate(self.moduli) if m > 1]
+
     def elements(self) -> list[tuple[int, ...]]:
-        out = [()]
-        for m in self.moduli:
-            out = [t + (v,) for t in out for v in range(m)]
-        return [tuple(t) for t in out]
+        return list(product(*map(range, self.moduli)))
 
     def pairing(self, c: Sequence[int], x: Sequence[int]) -> int:
         """Sum of c_j * x_j * (M/m_j) mod M; zero iff chi_c(x) = 1."""
@@ -243,21 +246,9 @@ def subgroup_order(structure: AbelianStructure, gens: Sequence[Sequence[int]]) -
 def subgroup_elements(
     structure: AbelianStructure, gens: Sequence[Sequence[int]]
 ) -> list[tuple[int, ...]]:
-    """All elements of the subgroup generated by the tuples (BFS closure)."""
-    zero = structure.zero()
-    seen = {zero}
-    frontier = [zero]
+    """All elements of the subgroup generated by the tuples, sorted."""
     gens = [structure.reduce(g) for g in gens]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = structure.add(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(_closure(structure.add, None, structure.zero(), gens, structure.order))
 
 
 def hom_kernel(
@@ -272,15 +263,8 @@ def hom_kernel(
     r = len(domain_moduli)
     if r == 0:
         return []
-    if not codomain.moduli:
-        # everything maps to the trivial group
-        gens = []
-        for i, s in enumerate(domain_moduli):
-            if s > 1:
-                unit = [0] * r
-                unit[i] = 1
-                gens.append(tuple(unit))
-        return gens
+    if not codomain.moduli:  # everything maps to the trivial group
+        return AbelianStructure(tuple(domain_moduli)).units()
     L = codomain.exponent
     B = []
     for j, mu in enumerate(codomain.moduli):

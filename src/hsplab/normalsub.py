@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Optional, Sequence
 
-from .core import BlackBoxGroup, GroupElement, HidingOracle, RecordedOracle
+from .core import BlackBoxGroup, GroupElement, HidingOracle, SolveFrame, SubgroupResult
 from .core import enumerate_closure, enum_bound
 from .errors import NotAbelian, QuotientNotAbelian
 from .linalg import LabelQuotientView, decompose_abelian
@@ -102,14 +103,24 @@ def commutator_subgroup(G: BlackBoxGroup, bound: int) -> NormalGenerators:
     return normal_closure(G, _commutators(G, G.generators), bound)
 
 
-def hidden_normal_subgroup(
-    G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig
-) -> NormalGenerators:
+def normal_query_budget(quotient_order: int, k: int) -> int:
+    """Documented closed-form f-query budget B_N for hidden_normal_subgroup,
+    k generators of G.  Its f-queries are decompose_abelian's key calls on
+    G/N at f's labels: k^2 - k for the commute check, |G/N| for the identity
+    and each other element as it joins the table, and k for the powers that
+    land in it; asking f once per element can only lower that.  |G/N| is
+    the product of the presentation's moduli; nothing is sampled."""
+    return quotient_order + k * k
+
+
+def hidden_normal_subgroup(G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig) -> SubgroupResult:
     """Generators of the hidden normal subgroup N: normal closure of the
     relator values R0 and the generator quotients S0.  Both lie in N by
     construction: R0 because the decomposition at f's labels found the
     orders and checked commutation, S0 because the decomposition's
     coordinates express each generator exactly modulo N.  Nothing is
     sampled, so `cfg` draws nothing."""
-    p = abelian_quotient_presentation(LabelQuotientView(G, RecordedOracle(f)))
-    return normal_closure(G, relator_values(G, p) + generator_quotients(G, p))
+    f = SolveFrame(f, cfg)
+    p = abelian_quotient_presentation(LabelQuotientView(G, f))
+    n = normal_closure(G, relator_values(G, p) + generator_quotients(G, p))
+    return f.result(n.gens, "normal", normal_query_budget(prod(p.moduli), len(G.generators)))

@@ -157,11 +157,16 @@ class QuantumFunctionOracle:
     def peek(self, t: Sequence[int]) -> str:
         return self._view.hkey(self._elem(self.structure.reduce(t)))
 
-    def certifies(self, t: Sequence[int], base: str) -> bool:
-        """Whether t is in the hidden subgroup, on the counted path: f(t) = base
-        = f(0), or, when `member` is set, member(elem(t)) finds a witness."""
+    @cached_property
+    def _zero_label(self) -> str:
+        return self.eval(self.structure.zero())
+
+    def certifies(self, t: Sequence[int]) -> bool:
+        """Whether t is in the hidden subgroup, on the counted path: f(t) = f(0),
+        f(0) asked at the first such test, or, when `member` is set,
+        member(elem(t)) finds a witness."""
         if self._member is None:
-            return self.eval(t) == base
+            return self._zero_label == self.eval(t)
         return self._member(self._elem(self.structure.reduce(t))) is not None
 
     def hidden_subgroup_gens(self) -> list[tuple]:
@@ -254,7 +259,8 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
     Draws characters and maintains the joint kernel, which always contains
     H.  Once the kernel is unchanged for ceil(log2(1/epsilon)) consecutive
     rounds it is certified: it equals H iff each of its generators t passes
-    `f.certifies`, f(t) = f(0) by default (counted evals, f(0) asked once).
+    `f.certifies`, f(t) = f(0) by default (counted evals, f(0) asked once,
+    and not at all when only the trivial kernel is certified).
     A kernel that fails is too large, so it is not certified again; sampling
     goes on until it shrinks.  Epsilon bounds only the chance of extra
     rounds, never of a wrong answer.  Each certified kernel has at most k
@@ -266,18 +272,15 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
         return []
     rng, stable_rounds, pairing = cfg.rng, cfg.stable_rounds, structure.pairing
     samples: list[tuple[int, ...]] = []
-    kernel_gens = list(_unit_tuples(structure))
+    kernel_gens = structure.units()
     kernel_order = structure.order
-    base = None
     refuted = False  # the current kernel failed its certificate
     stable = 0
     rounds = 0
     while True:
         if stable >= stable_rounds and not refuted:
             gens = [t for t in kernel_gens if any(t)]
-            if base is None:
-                base = f.eval(structure.zero())
-            if all(f.certifies(t, base) for t in gens):
+            if all(f.certifies(t) for t in gens):
                 return gens
             refuted = True
         rounds += 1
@@ -295,14 +298,6 @@ def abelian_hsp(f: QuantumFunctionOracle, cfg: SolverConfig) -> list[tuple[int, 
         kernel_order = new_order
         refuted = False
         stable = 0
-
-
-def _unit_tuples(structure: AbelianStructure):
-    for i, m in enumerate(structure.moduli):
-        if m > 1:
-            unit = [0] * len(structure.moduli)
-            unit[i] = 1
-            yield tuple(unit)
 
 
 def order_from_multiple(view: GroupView, g, m: int) -> int:
@@ -370,13 +365,7 @@ def find_order(
     m = int(order_bound)
     if m < 1:
         raise NoOrderBound(f"bad order bound {m}")
-    if view.is_identity(g):
+    if view.is_identity(g) or m == 1:
         return 1
-    if m == 1:
-        return 1
-    oracle = cyclic_power_oracle(view, g, m)
-    gens = abelian_hsp(oracle, cfg)
-    d = m
-    for t in gens:
-        d = gcd(d, t[0])
-    return d
+    gens = abelian_hsp(cyclic_power_oracle(view, g, m), cfg)
+    return gcd(m, *(t[0] for t in gens))

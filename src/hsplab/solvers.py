@@ -6,7 +6,9 @@ harness side and exempt from solver accounting; the f-queries counted against
 the budgets below are the classical-control queries the solver itself issues
 (enumeration scans, kernel certificates, label-keyed quotient arithmetic).
 The solvers hand `sim` views (a `LabelQuotientView` of f, the group, a quotient)
-and element maps; only `sim` derives the harness path from a view.
+and element maps; only `sim` derives the harness path from a view.  Each
+solver opens a `core.SolveFrame` on its f and returns through it, which
+checks the solver's budget.
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ from .core import (
     CosetLabelOracle,
     GroupElement,
     HidingOracle,
-    QueryStats,
-    RecordedOracle,
+    SolveFrame,
+    SubgroupResult,
     _factor,
     enumerate_closure,
     enum_bound,
 )
 from .errors import (
     BoundExceeded,
-    BudgetExceeded,
     CommutatorBoundExceeded,
     NotCommuting,
     NotElementaryAbelian2,
@@ -50,15 +51,6 @@ from .sim import QuantumFunctionOracle, SolverConfig, _hiding_provider, abelian_
 
 
 @dataclass
-class SubgroupResult:
-    gens: list[GroupElement]
-    stats: QueryStats
-    method: str
-    f_query_budget: Optional[int] = None
-    coset_reps: Optional[list[GroupElement]] = None  # V, for the elem2 solvers
-
-
-@dataclass
 class CosetPick:
     z: GroupElement
     u: Optional[GroupElement] = None  # element of N with u^-1 z in H
@@ -73,8 +65,8 @@ def commutator_query_budget(c: int, L: float) -> int:
     of G/G' (each has order at least 2), so the number of kernel generators
     too.  f is asked at most once per element, so the solver's f-queries are:
     - the scan of G' for H on G', f(1) included: c;
-    - the certificates of the one Abelian HSP over G/G', F(0) being read
-      off that scan: a scan of x*G' of at most c per kernel generator x, at
+    - the certificates of the one Abelian HSP over G/G', which never form
+      F(0): a scan of x*G' of at most c per kernel generator x, at
       most s per certified kernel and at most 1 + log2 q kernels, since
       each one certified strictly contains the next: c * s * (1 + log2 q);
     - no coset scan: each pick is the member of H a certificate stopped at.
@@ -104,14 +96,25 @@ def elem2_query_budget(v: int, n: int, epsilon: float) -> int:
     return 8 * (v + 2) + 4 * r + n + v * (1 + rho * (rho + 1))
 
 
+def abelian_query_budget(k: int, order: int) -> int:
+    """Documented closed-form f-query budget B0 for solve_abelian (ideal
+    sampler), k cyclic factors of A = G, |A| = order.  Decomposing G asks f
+    nothing and f is asked once per element, so only the certificates of
+    one Abelian HSP over A count: f(0), 1, and at most k tests per certified
+    kernel over at most 1 + log2|A| kernels, each strictly inside the last.
+    The statevector sampler writes f over A once; solve_abelian adds |A|."""
+    return ceil(1 + k * (1 + log2(order)))
+
+
 def solve_abelian(G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig) -> SubgroupResult:
     """Hidden subgroup of an Abelian black-box group, via its decomposition."""
-    f = RecordedOracle(f)
-    ops_start = G.stats.group_ops
+    f = SolveFrame(f, cfg)
     dec = decompose_abelian(G, G.generators)
-    gens = lifted_hsp(dec, f, cfg, provided=True)
-    stats = QueryStats(f.query_count, G.stats.group_ops - ops_start, cfg.draws)
-    return SubgroupResult(gens, stats, "abelian")
+    A = dec.structure
+    budget = abelian_query_budget(len(A.moduli), A.order)
+    if cfg.backend == "statevector":
+        budget += A.order
+    return f.result(lifted_hsp(dec, f, cfg), "abelian", budget)
 
 
 def solve_small_commutator(
@@ -125,8 +128,7 @@ def solve_small_commutator(
     F hides H*G'/G' in the Abelian group G/G'.  G/G' is decomposed once,
     with group operations and no f-query, and one Abelian HSP over it finds
     H*G'/G'."""
-    f = RecordedOracle(f)
-    ops_start = G.stats.group_ops
+    f = SolveFrame(f, cfg)
 
     # (1) enumerate G' as the normal closure of the generator commutators
     try:
@@ -141,7 +143,7 @@ def solve_small_commutator(
     # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
     dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
     F = CosetLabelOracle(G, f, g_prime)
-    hgp = lifted_hsp(dec, F, cfg, provided=True, member=F.first_member)
+    hgp = lifted_hsp(dec, F, cfg, member=F.first_member)
 
     # (5) the first member of H in each x*G', found by x's certificate: no f-query
     picks = [F.first_member(x) for x in hgp]
@@ -152,11 +154,7 @@ def solve_small_commutator(
     budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
     if cfg.backend == "statevector":
         budget += len(g_prime) * dec.structure.order
-    used = f.query_count
-    if used > budget:
-        raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
-    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)
-    return SubgroupResult(gens, stats, "commutator", budget)
+    return f.result(gens, "commutator", budget)
 
 
 def check_elem2_normal(
@@ -179,16 +177,15 @@ def check_elem2_normal(
     return n_elements
 
 
-def lifted_hsp(
-    dec: AbelianDecomposition, f, cfg: SolverConfig, provided: bool = False, member=None
-) -> list:
+def lifted_hsp(dec: AbelianDecomposition, f, cfg: SolverConfig, member=None) -> list:
     """Generators, lifted to G, of the subgroup that the oracle f of G hides
     over dec's group (H on N when dec decomposes a normal N), by one Abelian
-    HSP.  With `provided`, the ideal sampler reads that subgroup off the
-    generators f was built from instead of searching for label collisions;
-    `member`, when given, certifies kernel generators in place of f(t) = f(0)."""
+    HSP.  The ideal sampler reads that subgroup off the generators f was
+    built from when they all lie in dec's group, and otherwise searches for
+    label collisions; `member`, when given, certifies kernel generators in
+    place of f(t) = f(0)."""
     view = LabelQuotientView(f.group, f)
-    provider = _hiding_provider(view, dec.tuple_of) if provided else None
+    provider = _hiding_provider(view, dec.tuple_of)
     oracle = QuantumFunctionOracle(dec.structure, view, dec.element_of, provider, member)
     return [dec.element_of(t) for t in abelian_hsp(oracle, cfg)]
 
@@ -225,8 +222,7 @@ def _solve_elem2(
     """The frame both elem2 solvers share: check N, find H on N, probe each
     coset representative V = coset_reps(G/N) but the first (the identity)
     for a member of H, and assemble H from the picks and H on N."""
-    f = RecordedOracle(f)
-    ops_start = G.stats.group_ops
+    f = SolveFrame(f, cfg)
     n_elements = check_elem2_normal(G, n_gens)
     dec = decompose_abelian(G, list(n_gens))
     h_cap_n = lifted_hsp(dec, f, cfg.child("cap"))
@@ -240,11 +236,7 @@ def _solve_elem2(
     budget = elem2_query_budget(len(reps), len(n_elements), cfg.epsilon)
     if cfg.backend == "statevector":
         budget += len(n_elements) * (len(reps) - 1)
-    used = f.query_count
-    if used > budget:
-        raise BudgetExceeded(f"f-query budget exceeded: {used} > {budget}")
-    stats = QueryStats(used, G.stats.group_ops - ops_start, cfg.draws)
-    return SubgroupResult(gens, stats, method, budget, coset_reps=reps)
+    return f.result(gens, method, budget, coset_reps=reps)
 
 
 def solve_elem2_small_quotient(

@@ -60,6 +60,7 @@ class _CayleyTable:
 
     def closure(self, gens: Sequence[int]) -> list[int]:
         """Indices of <gens>, in the BFS order of enumerate_closure."""
+        # not core._closure: subgroups_of runs 1.8x slower through it, the cached rows lost
         G, elements, index, rows = self.G, self.elements, self.index, self._rows
         gens = [g for g in gens if g != self.identity]
         out = [self.identity]

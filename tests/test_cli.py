@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from hsplab import cli, sim, solvers
+from hsplab import cli, normalsub, sim, solvers
 from hsplab.cli import RunConfig, main, run, run_suite
 from hsplab.core import HidingOracle, make_group
 from hsplab.errors import BadSpec
@@ -286,6 +286,19 @@ def test_broken_guarantees_exit_1(group_dir, monkeypatch):
     assert "InvariantBroken" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "solver,module,budget",
+    [("abelian", solvers, "abelian_query_budget"), ("normal", normalsub, "normal_query_budget")],
+)
+def test_abelian_and_normal_budget_overruns_exit_1(group_dir, monkeypatch, solver, module, budget):
+    """Every solver checks its budget: an overrun is a solver error."""
+    monkeypatch.setattr(module, budget, lambda *args: 0)
+    group, hidden = ("z46.grp", "01000") if solver == "abelian" else ("es3.grp", "000010")
+    code, report = run(RunConfig(str(group_dir / group), hidden=hidden, solver=solver, seed=7))
+    assert code == 1
+    assert "BudgetExceeded" in report["error"]
+
+
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
 
 
@@ -337,7 +350,7 @@ def test_elem2_budget_covers_certificates_with_h_equal_to_g(tmp_path, monkeypatc
     monkeypatch.setattr(
         sim.QuantumFunctionOracle,
         "hidden_subgroup_gens",
-        lambda self: list(sim._unit_tuples(self.structure)),
+        lambda self: self.structure.units(),
     )
     code, report = run(RunConfig(str(tmp_path / "p.grp"), hidden=",".join(gens), seed=1))
     assert code == 0, report.get("error")

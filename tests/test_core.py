@@ -13,15 +13,17 @@ from hsplab.core import (
     GroupElement,
     _factor,
     GroupSpec,
+    QueryStats,
+    SolveFrame,
     enum_bound,
     enumerate_closure,
     make_group,
     make_hiding_oracle,
 )
-from hsplab.errors import BadSpec, BoundExceeded, InvalidEncoding
+from hsplab.errors import BadSpec, BoundExceeded, BudgetExceeded, InvalidEncoding
 from hsplab.linalg import CosetQuotientView
 from hsplab.normalsub import normal_closure
-from hsplab.sim import RngStream
+from hsplab.sim import RngStream, SolverConfig
 from hsplab.specfile import parse_cycles
 
 from conftest import q8_group
@@ -461,3 +463,25 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_solve_frame_records_f_and_checks_the_budget():
+    """A frame asks f once per element, reads f's other attributes through,
+    and returns the solve with the f-queries, group operations and draws
+    made since it opened; one f-query past the budget raises."""
+    G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
+    g = G.generators[0]
+    f = make_hiding_oracle(G, [], seed=1)
+    cfg = SolverConfig(seed=2)
+    label = f.peek(g)  # g's coset is labelled now, so eval multiplies nothing
+    frame = SolveFrame(f, cfg)
+    assert frame.eval(g) == frame.eval(g) == label
+    assert (frame.query_count, f.query_count) == (1, 1)
+    assert frame.group is G
+    G.multiply(g, g)
+    cfg.rng.randrange(2)
+    result = frame.result([g], "test", 1)
+    assert result.stats == QueryStats(1, 1, 1)
+    assert (result.gens, result.method, result.f_query_budget) == ([g], "test", 1)
+    with pytest.raises(BudgetExceeded):
+        frame.result([g], "test", 0)

@@ -190,6 +190,14 @@ def test_solver_code_never_names_the_harness_path(module):
     assert found == []
 
 
+@pytest.mark.parametrize("module", ["solvers.py", "normalsub.py", "cli.py"])
+def test_only_the_solve_frame_keeps_the_books(module):
+    """Solvers and the CLI take their f-queries, counters and budget checks
+    from core.SolveFrame: none builds QueryStats or raises BudgetExceeded."""
+    names = {"QueryStats", "BudgetExceeded", "RecordedOracle"}
+    assert [name for name in _source_names(SRC / module) if name in names] == []
+
+
 def test_privileged_keys_are_read_only_in_the_harness_layers():
     harness_layers = {"core", "linalg", "sim", "verify"}
     readers = {

@@ -8,7 +8,9 @@ import pytest
 
 import hsplab
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
+from hsplab import normalsub, solvers
 from hsplab.errors import (
+    BudgetExceeded,
     NotElementaryAbelian2,
     NotNormal,
     QuotientBoundExceeded,
@@ -16,7 +18,9 @@ from hsplab.errors import (
 )
 from hsplab.linalg import decompose_abelian
 from hsplab.sim import RngStream, SolverConfig
+from hsplab.normalsub import hidden_normal_subgroup
 from hsplab.solvers import (
+    abelian_query_budget,
     check_elem2_normal,
     commutator_query_budget,
     coset_intersection_pick,
@@ -86,8 +90,8 @@ def test_commutator_budget_asserted_per_run():
     expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
     assert result.f_query_budget == expected
     # H = G' = Z(G): the scan of G', f(1) among it (c = 3 f-queries); HG'/G'
-    # is trivial, so the Abelian HSP certifies the trivial kernel with F(0),
-    # the labels over G' read off the record, and no coset is scanned
+    # is trivial, so the Abelian HSP certifies the trivial kernel, which
+    # needs no test, and no coset is scanned
     assert result.stats.f_queries == 3
 
 
@@ -157,8 +161,6 @@ def _spied(f):
 
 
 def _normal_subgroup(G, f, cfg):
-    from hsplab.normalsub import hidden_normal_subgroup
-
     return hidden_normal_subgroup(G, f, cfg)
 
 
@@ -420,6 +422,65 @@ def test_provider_falls_back_for_generators_outside_the_group():
     result = solve_abelian(G, f, SolverConfig(seed=6))
     assert f.harness_queries > 0  # the collision search peeked
     _check(G, f, result, enumerate_closure(G, G.generators))
+
+
+def test_elem2_h_on_n_read_off_the_hiding_generators():
+    """Over the decomposition of N, the ideal sampler takes H on N from the
+    hiding generators when they all lie in N, and searches for collisions
+    when one does not."""
+    G = make_group(GroupSpec(kind="wreath", k=2))
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    dec = decompose_abelian(G, n_gens)
+    swap = GroupElement(G.backend.encode(0, 0, 1))
+    for hidden, peeks in (([n_gens[0]], False), ([swap], True)):
+        f = make_hiding_oracle(G, hidden, seed=7)
+        gens = lifted_hsp(dec, f, SolverConfig(seed=8))
+        assert (f.harness_queries > 0) == peeks
+        assert len(enumerate_closure(G, gens)) == (1 if peeks else 2)
+
+
+def test_abelian_budget_is_b0():
+    """Z4 x Z6 splits into k = 3 cyclic factors of A, |A| = 24:
+    B0 = ceil(1 + 3 * (1 + log2 24)) = 18, and the statevector sampler adds
+    |A|, every element of A being asked once."""
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    h = [GroupElement(G.backend.encode((2, 0)))]
+    assert abelian_query_budget(3, 24) == 18
+    for backend, budget, used in (("ideal", 18, None), ("statevector", 18 + 24, 24)):
+        f = make_hiding_oracle(G, h, seed=9)
+        result = solve_abelian(G, f, SolverConfig(seed=10, backend=backend))
+        _check(G, f, result, enumerate_closure(G, G.generators))
+        assert result.f_query_budget == budget
+        assert result.stats.f_queries <= budget
+        assert used is None or result.stats.f_queries == used
+
+
+def test_abelian_budget_overrun_raises(monkeypatch):
+    monkeypatch.setattr(solvers, "abelian_query_budget", lambda *args: 0)
+    G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+    f = make_hiding_oracle(G, [GroupElement(G.backend.encode((2, 0)))], seed=11)
+    with pytest.raises(BudgetExceeded):
+        solve_abelian(G, f, SolverConfig(seed=12))
+
+
+def test_normal_budget_met_with_equality():
+    """es(3) of exponent p^2 with N = <a^3, b>: |G/N| = 3 and k = 2, so
+    B_N = 3 + 4 = 7, and the decomposition of G/N asks f exactly 7 times,
+    no two of its key calls on one element."""
+    G = make_group(GroupSpec(kind="extraspecial", p=3, variant="exponent-p2"))
+    a, b = G.generators
+    f = make_hiding_oracle(G, [G.power(a, 3), b], seed=13)
+    result = hidden_normal_subgroup(G, f, SolverConfig(seed=14))
+    _check(G, f, result, enumerate_closure(G, G.generators))
+    assert (result.method, result.stats.f_queries, result.f_query_budget) == ("normal", 7, 7)
+
+
+def test_normal_budget_overrun_raises(monkeypatch):
+    monkeypatch.setattr(normalsub, "normal_query_budget", lambda *args: 0)
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    f = make_hiding_oracle(G, [G.commutator(*G.generators)], seed=15)
+    with pytest.raises(BudgetExceeded):
+        hidden_normal_subgroup(G, f, SolverConfig(seed=16))
 
 
 def _loaded_after_commutator_solve(module: str) -> bool:
