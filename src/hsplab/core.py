@@ -830,14 +830,14 @@ class SolveFrame:
     """One solve's f, counters and budget check; every solver opens one on
     its f and config when it starts and returns through `result`.  `eval`
     asks f once per element and keeps the label, so `query_count` counts the
-    calls the solve made to f; f's other attributes read through."""
+    calls the solve made to f.  Only f's `group`, and for the harness layers
+    its `peek` and `hidden_gens`, are forwarded; nothing else of f reads
+    through."""
 
     def __init__(self, f: HidingOracle, cfg):
         self.f, self.cfg, self.query_count, self._labels = f, cfg, 0, {}
+        self.group, self.peek, self.hidden_gens = f.group, f.peek, f.hidden_gens
         self._ops_start = f.group.stats.group_ops
-
-    def __getattr__(self, name):
-        return getattr(self.f, name)
 
     def eval(self, g: GroupElement) -> str:
         label = self._labels.get(g.value)

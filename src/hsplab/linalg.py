@@ -74,7 +74,7 @@ class AbelianStructure:
 
     def pairing(self, c: Sequence[int], x: Sequence[int]) -> int:
         """Sum of c_j * x_j * (M/m_j) mod M; zero iff chi_c(x) = 1."""
-        return sum([cj * xj * w for cj, xj, w in zip(c, x, self._weights)]) % self.exponent
+        return sum(map(mul, map(mul, c, x), self._weights)) % self.exponent
 
 
 def identity_matrix(n: int) -> Matrix:

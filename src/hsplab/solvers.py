@@ -14,7 +14,7 @@ checks the solver's budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, lcm, log2
+from math import ceil, gcd, lcm, log2
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     HidingOracle,
     SolveFrame,
     SubgroupResult,
+    _closure,
     _factor,
     enumerate_closure,
     enum_bound,
@@ -64,7 +65,8 @@ def commutator_query_budget(c: int, L: float) -> int:
     s = ceil(log2 q), which bounds the number of prime-power cyclic factors
     of G/G' (each has order at least 2), so the number of kernel generators
     too.  f is asked at most once per element, so the solver's f-queries are:
-    - the scan of G' for H on G', f(1) included: c;
+    - the sieve of G' for H on G', f(1) first, which asks each element of G'
+      at most once: at most c;
     - the certificates of the one Abelian HSP over G/G', which never form
       F(0): a scan of x*G' of at most c per kernel generator x, at
       most s per certified kernel and at most 1 + log2 q kernels, since
@@ -136,9 +138,8 @@ def solve_small_commutator(
     except BoundExceeded as exc:
         raise CommutatorBoundExceeded(str(exc)) from exc
 
-    # (2) H on G' by direct scan, f(1) among it
-    base = f.eval(G.identity())
-    h_cap_gprime = [x for x in g_prime if f.eval(x) == base]
+    # (2) generators of H on G' by a sieve of G', f(1) first
+    h_cap_gprime = sieve_generators(G, f, g_prime)
 
     # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
     dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
@@ -149,12 +150,41 @@ def solve_small_commutator(
     picks = [F.first_member(x) for x in hgp]
 
     # (6) assemble H1
-    gens = picks + [x for x in h_cap_gprime if not G.is_identity(x)]
+    gens = picks + h_cap_gprime
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
     if cfg.backend == "statevector":
         budget += len(g_prime) * dec.structure.order
     return f.result(gens, "commutator", budget)
+
+
+def sieve_generators(G: BlackBoxGroup, f, elements: Sequence[GroupElement]) -> list:
+    """Generators of H on the subgroup S of G whose elements are given,
+    identity first, asking f only where the answers so far leave membership
+    open.  A member y joins the generators and `inside` becomes their
+    closure; a non-member x puts x^j*k in `outside`, for j prime to ord(x)
+    and k inside, since x^j*k in H would give x^j, so x, in H.  f(1) is the
+    first query and no element is asked twice.  Works on raw encodings."""
+    mul, one, stats = G.backend.mul, G.backend.identity, G.stats
+    base = f.eval(G.identity())
+    gens, inside, outside = [], {one}, set()
+    for x in elements:
+        if x.value in inside or x.value in outside:
+            continue
+        if f.eval(x) == base:
+            gens.append(x)
+            values = [y.value for y in gens]
+            inside = set(_closure(mul, None, one, values, len(elements)))
+            stats.group_ops += len(inside) * len(values)
+            continue
+        powers = [x.value]
+        while powers[-1] != one:
+            powers.append(mul(powers[-1], x.value))
+        n = len(powers)  # ord(x); powers[j - 1] = x^j
+        units = [xj for j, xj in enumerate(powers[:-1], 1) if gcd(j, n) == 1]
+        outside.update(mul(xj, k) for xj in units for k in inside)
+        stats.group_ops += n - 1 + len(units) * len(inside)
+    return gens
 
 
 def check_elem2_normal(

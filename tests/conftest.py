@@ -89,6 +89,22 @@ def s8_group() -> BlackBoxGroup:
     )
 
 
+SMALL_COMMUTATOR = {
+    "es3-p": GroupSpec(kind="extraspecial", p=3, variant="exponent-p"),
+    "es3-p2": GroupSpec(kind="extraspecial", p=3, variant="exponent-p2"),
+    "d16": None,
+    "s4": GroupSpec(kind="permutation", degree=4, perms=[[1, 2, 3, 0], [1, 0, 2, 3]]),
+    "wreath2": GroupSpec(kind="wreath", k=2),
+}
+
+
+def small_commutator_group(name: str) -> BlackBoxGroup:
+    """One of the SMALL_COMMUTATOR groups, whose subgroups are all small
+    enough to enumerate; G' is non-trivial in each, and non-Abelian in S4."""
+    spec = SMALL_COMMUTATOR[name]
+    return d16_group() if spec is None else make_group(spec)
+
+
 class LabelView(GroupView):
     """A view over plain tuples whose key is a given label function."""
 

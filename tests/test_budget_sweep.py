@@ -1,6 +1,7 @@
 """Quick budget sweep: every subgroup of small Abelian groups through
-solve_abelian, under both samplers and two epsilons, and every normal
-subgroup of small non-Abelian groups through hidden_normal_subgroup.
+solve_abelian and of small non-Abelian groups through
+solve_small_commutator, under both samplers and two epsilons, and every
+normal subgroup of small non-Abelian groups through hidden_normal_subgroup.
 
 Each solve must return H and stay within its f_query_budget.  The only error
 allowed is QuotientNotAbelian, and only where G/N is not Abelian."""
@@ -9,10 +10,10 @@ from hsplab.core import GroupSpec, enumerate_closure, make_group, make_hiding_or
 from hsplab.errors import QuotientNotAbelian
 from hsplab.normalsub import hidden_normal_subgroup
 from hsplab.sim import SolverConfig, splitmix64
-from hsplab.solvers import solve_abelian
+from hsplab.solvers import solve_abelian, solve_small_commutator
 from hsplab.verify import subgroup_key, subgroups_of
 
-from conftest import d16_group
+from conftest import SMALL_COMMUTATOR, d16_group, small_commutator_group
 
 ABELIAN = [(4, 6), (2, 2, 2, 2), (8, 2), (3, 9), (5, 5)]
 CONFIGS = [(epsilon, backend) for backend in ("ideal", "statevector") for epsilon in (2.0**-10, 0.25)]
@@ -48,6 +49,21 @@ def test_abelian_budget_sweep():
                 solves += 1
     assert failures == []
     assert solves == 4 * (16 + 67 + 11 + 10 + 8)
+
+
+def test_commutator_budget_sweep():
+    failures, solves = [], 0
+    for gi, name in enumerate(SMALL_COMMUTATOR):
+        G = small_commutator_group(name)
+        for si, sub in enumerate(subgroups_of(G, enumerate_closure(G, G.generators))):
+            for ci, (epsilon, backend) in enumerate(CONFIGS):
+                seed = splitmix64(gi << 16 ^ si << 4 ^ ci)
+                f = make_hiding_oracle(G, sub, seed=seed)
+                result = solve_small_commutator(G, f, SolverConfig(epsilon, seed + 1, backend))
+                failures += [(gi, si, backend, epsilon, e) for e in _failure(G, sub, result)]
+                solves += 1
+    assert failures == []
+    assert solves == 4 * (19 + 10 + 19 + 30 + 106)
 
 
 def test_normal_budget_sweep():

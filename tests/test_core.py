@@ -466,9 +466,9 @@ def test_library_has_no_assert_statements():
 
 
 def test_solve_frame_records_f_and_checks_the_budget():
-    """A frame asks f once per element, reads f's other attributes through,
-    and returns the solve with the f-queries, group operations and draws
-    made since it opened; one f-query past the budget raises."""
+    """A frame asks f once per element and returns the solve with the
+    f-queries, group operations and draws made since it opened; one f-query
+    past the budget raises."""
     G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
     g = G.generators[0]
     f = make_hiding_oracle(G, [], seed=1)
@@ -478,6 +478,8 @@ def test_solve_frame_records_f_and_checks_the_budget():
     assert frame.eval(g) == frame.eval(g) == label
     assert (frame.query_count, f.query_count) == (1, 1)
     assert frame.group is G
+    with pytest.raises(AttributeError):
+        frame.harness_queries
     G.multiply(g, g)
     cfg.rng.randrange(2)
     result = frame.result([g], "test", 1)

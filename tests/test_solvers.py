@@ -33,7 +33,7 @@ from hsplab.solvers import (
 )
 from hsplab.verify import brute_force_hsp, subgroup_key, subgroups_of
 
-from conftest import affine4_group, affine5_group
+from conftest import SMALL_COMMUTATOR, affine4_group, affine5_group, small_commutator_group
 
 
 def _check(G, f, result, elements):
@@ -89,10 +89,11 @@ def test_commutator_budget_asserted_per_run():
 
     expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
     assert result.f_query_budget == expected
-    # H = G' = Z(G): the scan of G', f(1) among it (c = 3 f-queries); HG'/G'
-    # is trivial, so the Abelian HSP certifies the trivial kernel, which
-    # needs no test, and no coset is scanned
-    assert result.stats.f_queries == 3
+    # H = G' = Z(G): the sieve of G' asks f(1) and one generator of G',
+    # which decides all of G' ~ Z_3 (2 f-queries); HG'/G' is trivial, so the
+    # Abelian HSP certifies the trivial kernel, which needs no test, and no
+    # coset is scanned
+    assert result.stats.f_queries == 2
 
 
 @pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
@@ -116,7 +117,7 @@ def test_commutator_solver_statevector_backend(variant):
 
 
 @pytest.mark.parametrize(
-    "variant,gens", [("exponent-p", ["6:10"]), ("exponent-p2", ["6:4", "6:18", "6:c"])]
+    "variant,gens", [("exponent-p", ["6:10"]), ("exponent-p2", ["6:4", "6:18"])]
 )
 def test_statevector_commutator_draws_unchanged_by_the_record(monkeypatch, variant, gens):
     """The statevector state is built from the full F labels whether or not f
@@ -367,15 +368,16 @@ def test_budget_formulas_respond_to_inputs():
 
 @pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
 def test_commutator_queries_grow_like_the_commutator_subgroup(variant):
-    """On es(p), |G'| = p: with H trivial the solver makes p f-queries (the
-    scan of G', f(1) among it; F(0) certifying the trivial kernel is read
-    off the record), and with H = <g1> p + 1 (one kernel generator, whose
-    coset scan stops at its first element, a member of H and the pick);
-    none grows with |G/G'| = p^2, and each stays within B1."""
+    """On es(p), G' ~ Z_p: with H trivial the solver makes 2 f-queries (the
+    sieve of G' asks f(1) and one non-identity element, which decides all
+    of G'; F(0) certifying the trivial kernel is read off the record), and
+    with H = <g1> 3 (one kernel generator, whose coset scan stops at its
+    first element, a member of H and the pick); neither grows with
+    |G'| = p or |G/G'| = p^2, and each stays within B1."""
     for p in (3, 5, 7, 11, 13):
         G = make_group(GroupSpec(kind="extraspecial", p=p, variant=variant))
         elements = enumerate_closure(G, G.generators)
-        for hidden, expected in (([], p), ([G.generators[0]], p + 1)):
+        for hidden, expected in (([], 2), ([G.generators[0]], 3)):
             f = make_hiding_oracle(G, hidden, seed=p)
             result = solve_small_commutator(G, f, SolverConfig(seed=p + 1))
             assert result.stats.f_queries == expected, (p, len(hidden))
@@ -510,3 +512,20 @@ def test_commutator_solve_leaves_numpy_unloaded():
 def test_commutator_solve_leaves_sympy_unloaded():
     """Factoring is trial division in core; a solve imports no sympy."""
     assert not _loaded_after_commutator_solve("sympy")
+
+
+@pytest.mark.parametrize("name", SMALL_COMMUTATOR)
+def test_sieve_finds_h_on_the_commutator_subgroup(name):
+    """For every subgroup H, the sieve's generators close to exactly H on G'
+    (by brute force over G'), it asks f at most |G'| times, and on es(3),
+    where G' ~ Z_3, exactly twice: f(1) and one element deciding all of G'."""
+    G = small_commutator_group(name)
+    g_prime = normalsub.commutator_subgroup(G, 64).closure_certificate
+    for i, sub in enumerate(subgroups_of(G, enumerate_closure(G, G.generators))):
+        f = make_hiding_oracle(G, sub, seed=i)
+        gens = solvers.sieve_generators(G, f, g_prime)
+        members = brute_force_hsp(G, g_prime, f)
+        assert subgroup_key(G, enumerate_closure(G, gens)) == subgroup_key(G, members), i
+        assert f.query_count <= len(g_prime)
+        if name.startswith("es3"):
+            assert f.query_count == 2
