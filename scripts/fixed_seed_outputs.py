@@ -19,8 +19,9 @@ outputs differ and the number whose answers differ as subgroups, followed by
 each pool's mean ``f_queries``, ``group_ops`` and ``rng_draws``, old -> new,
 its largest ``f_queries / f_query_budget``, old -> new, when either side has
 a budget, and each field path that changed with its count of differing
-instances (``commutator-es/1: f_queries 48, rng_draws 48``); it exits 0
-either way.
+instances (``commutator-es/1: f_queries 48, rng_draws 48``).  It exits 1
+when an answer differs as a subgroup, and 0 otherwise: the other fields are
+informational.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
                     print(f"{pool}: largest budget use " + " -> ".join(uses))
                 if counts := field_counts(a, b):
                     print(f"{pool}: " + ", ".join(f"{f} {n}" for f, n in sorted(counts.items())))
-        return 0
+        return 1 if answers else 0
     if args.out is None:
         parser.error("give OUT.json or --compare OLD NEW")
     dump(args.out)

@@ -22,7 +22,7 @@ import hashlib
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BadSpec, BoundExceeded, BudgetExceeded, InvalidEncoding
@@ -172,7 +172,8 @@ class Backend:
     kind: str
     n: int
     identity: int  # the identity's encoding
-    order_hint: Optional[int] = None
+    order_hint: Optional[int] = None  # a known multiple of the group order
+    exponent_hint: Optional[int] = None  # a known multiple of every element's order
 
     def _set_widths(self, widths: Sequence[int]) -> None:
         self.widths = list(widths)
@@ -226,6 +227,7 @@ class PermutationBackend(Backend):
         self._mask = (1 << self.width) - 1
         self.identity = self.pack(range(degree))
         self.order_hint = factorial(degree)
+        self.exponent_hint = lcm(*range(1, degree + 1))
 
     def _is_element(self, images: list[int]) -> bool:
         return sorted(images) == list(range(self.degree))
@@ -261,6 +263,8 @@ class Gf2MatrixBackend(Backend):
         self._ones = sum(1 << (dim * i) for i in range(dim))  # bit 0 of every row
         self.identity = self.pack(1 << (dim - 1 - i) for i in range(dim))
         self.order_hint = prod(2**dim - 2**i for i in range(dim))
+        # unipotent part 2^ceil(log2 dim), semisimple part lcm(2^d - 1), d <= dim
+        self.exponent_hint = 2 ** (dim - 1).bit_length() * lcm(*(2**d - 1 for d in range(1, dim + 1)))
 
     def _inverse_rows(self, rows: Sequence[int]) -> Optional[list[int]]:
         """The rows of the inverse, by Gauss-Jordan elimination on [rows | I];
@@ -329,6 +333,7 @@ class WreathBackend(Backend):
         self._mask = (1 << k) - 1
         self.identity = 0
         self.order_hint = 2 ** (2 * k + 1)
+        self.exponent_hint = 4
 
     def unpack(self, value: int) -> tuple[int, int, int]:
         return value >> (self.k + 1), value >> 1 & self._mask, value & 1
@@ -387,6 +392,7 @@ class ExtraSpecialBackend(_MixedRadixBackend):
         self._low = self.widths[-1]
         self._mask = (1 << self._low) - 1
         self.order_hint = p**3
+        self.exponent_hint = p if variant == "exponent-p" else p * p
 
     def mul(self, x: int, y: int) -> int:
         p, low, mask = self.p, self._low, self._mask
@@ -421,6 +427,7 @@ class AbelianBackend(_MixedRadixBackend):
         self._set_widths([_chunk_width(m) for m in moduli])
         self._radix = [(s, mask, m) for (s, mask), m in zip(self._layout, self.moduli)]
         self.order_hint = prod(moduli)
+        self.exponent_hint = lcm(*moduli)
 
     def mul(self, a: int, b: int) -> int:
         out = 0
@@ -449,6 +456,8 @@ class ProductBackend(Backend):
         self.identity = self.pack(p.identity for p in parts)
         hints = [p.order_hint for p in parts]
         self.order_hint = prod(hints) if all(hints) else None
+        exponents = [p.exponent_hint for p in parts]
+        self.exponent_hint = lcm(*exponents) if all(exponents) else None
 
     def _is_element(self, values: list[int]) -> bool:
         return all(p._is_element(p.unpack(v)) for p, v in zip(self.parts, values))
@@ -468,6 +477,7 @@ class GroupView:
     """
 
     order_hint: Optional[int] = None  # a known multiple of the group order
+    exponent_hint: Optional[int] = None  # a known multiple of every element's order
 
     def identity(self):
         raise NotImplementedError
@@ -535,6 +545,10 @@ class BlackBoxGroup(GroupView):
     @property
     def order_hint(self) -> Optional[int]:
         return self.backend.order_hint
+
+    @property
+    def exponent_hint(self) -> Optional[int]:
+        return self.backend.exponent_hint
 
     def identity(self) -> GroupElement:
         return self._identity
@@ -622,6 +636,7 @@ def make_group(spec: GroupSpec) -> BlackBoxGroup:
         block_gen, trans_gens = _affine_generators(backend, spec.block, spec.translations or [])
         block = int(block_gen, 2)
         block_order = _order_of(block, backend.mul, lambda v: v == backend.identity, 1 << 20)
+        backend.exponent_hint = 2 * block_order  # (M, v)^ord(M) is a translation
         meta = {
             "k": spec.k,
             "block_order": block_order,
@@ -796,8 +811,8 @@ class HidingOracle:
 class CosetLabelOracle:
     """F: x -> sorted tuple of f-labels over x*C for a fixed enumerated C.
 
-    Hides the subgroup H*C when C is the commutator subgroup; one F-query
-    costs |C| queries to f, and one F-peek |C| peeks.
+    Hides H*C when C is the commutator subgroup; one F-query costs |C|
+    f-queries, one F-peek |C| peeks; `solvers.LabelRecord` certifies kernels.
     """
 
     def __init__(self, G: BlackBoxGroup, f: HidingOracle, c_elements: Sequence[GroupElement]):
@@ -813,13 +828,6 @@ class CosetLabelOracle:
 
     def peek(self, g: GroupElement) -> str:
         return self._label(g, self.f.peek)
-
-    def first_member(self, g: GroupElement) -> Optional[GroupElement]:
-        """The first y of g*C in key order with f(y) = f(1), a member of H,
-        or None: g*C meets H iff F(g) = F(1), so this certifies g in H*C."""
-        G, base = self.group, self.f.eval(self.group.identity())
-        coset = sorted((G.multiply(g, c) for c in self.c_elements), key=G.key)
-        return next((y for y in coset if self.f.eval(y) == base), None)
 
     def hidden_gens(self) -> Optional[list[GroupElement]]:
         """Harness-only: f's generators of H, which with C generate H*C."""

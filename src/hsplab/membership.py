@@ -144,7 +144,7 @@ def _attempt(view: GroupView, h_list: Sequence, g, cfg: SolverConfig) -> Members
         # the order in the group is a multiple of the order in the quotient
         bounds = [find_order(view.group, x, cfg.child("ambient-order")) for x in xs]
     else:
-        bounds = [view.order_hint] * len(xs)
+        bounds = [view.exponent_hint] * len(xs)
     orders = [
         find_order(view, h, cfg.child("order"), order_bound=b)
         for h, b in zip(h_list, bounds[:-1])

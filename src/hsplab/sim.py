@@ -182,6 +182,41 @@ class QuantumFunctionOracle:
         h_gens = self.hidden_subgroup_gens()
         return h_gens, subgroup_elements(self.structure, dual_subgroup(self.structure, h_gens))
 
+    @cached_property
+    def _statevector_cdf(self):
+        """The cumulative distribution of the measured first register after
+        the circuit's first four steps, built once per oracle; None when A is
+        trivial."""
+        import numpy as np  # only this sampler needs it, and it is slow to import
+
+        A = self.structure
+        if A.order > STATEVECTOR_CAP:
+            raise TooLarge(f"statevector cap {STATEVECTOR_CAP} exceeded by |A| = {A.order}")
+        if not A.moduli:
+            return None
+        order = A.order
+        # Step 1+2: uniform superposition over A with an empty label register.
+        # Step 3: oracle write; amplitudes grouped by label class.
+        classes: dict[str, list[tuple]] = {}
+        for t in A.elements():
+            classes.setdefault(self.eval(t), []).append(t)
+        # Step 4: exact QFT over each cyclic factor, done per label class since
+        # the label register is untouched by the transform.
+        shape = tuple(A.moduli)
+        probs = np.zeros(shape)
+        for label, ts in classes.items():
+            grid = np.zeros(shape, dtype=complex)
+            for t in ts:
+                grid[t] = 1.0 / np.sqrt(order)
+            amp = np.fft.fftn(grid) / np.sqrt(order)
+            probs += np.abs(amp) ** 2
+        total = probs.sum()
+        if abs(total - 1.0) > 1e-9:
+            raise HspError(f"statevector probabilities sum to {total}")
+        flat = probs.reshape(-1)
+        flat = np.where(flat < 1e-12, 0.0, flat)
+        return np.cumsum(flat / flat.sum())
+
     def _collision_search(self) -> list[tuple]:
         A = self.structure
         zero_label = self.peek(A.zero())
@@ -212,42 +247,13 @@ def sample_character(f: QuantumFunctionOracle, backend: str, rng: RngStream) -> 
 
 
 def _statevector_sample(f: QuantumFunctionOracle, rng: RngStream) -> tuple[int, ...]:
-    import numpy as np  # only this sampler needs it, and it is slow to import
-
-    A = f.structure
-    if A.order > STATEVECTOR_CAP:
-        raise TooLarge(f"statevector cap {STATEVECTOR_CAP} exceeded by |A| = {A.order}")
-    if not A.moduli:
+    """Step 5, measuring the first register of the oracle's one state."""
+    cdf = f._statevector_cdf
+    if cdf is None:
         return ()
-    order = A.order
-    elements = A.elements()
-    # Step 1+2: uniform superposition over A with an empty label register.
-    # Step 3: oracle write; amplitudes grouped by label class.
-    classes: dict[str, list[tuple]] = {}
-    for t in elements:
-        classes.setdefault(f.eval(t), []).append(t)
-    # Step 4: exact QFT over each cyclic factor, done per label class since
-    # the label register is untouched by the transform.
-    shape = tuple(A.moduli)
-    probs = np.zeros(shape)
-    for label, ts in classes.items():
-        grid = np.zeros(shape, dtype=complex)
-        for t in ts:
-            grid[t] = 1.0 / np.sqrt(order)
-        amp = np.fft.fftn(grid) / np.sqrt(order)
-        probs += np.abs(amp) ** 2
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise HspError(f"statevector probabilities sum to {total}")
-    flat = probs.reshape(-1)
-    flat = np.where(flat < 1e-12, 0.0, flat)
-    flat = flat / flat.sum()
-    # Step 5: measure the first register.
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(flat), u, side="right"))
-    idx = min(idx, len(flat) - 1)
+    idx = min(int(cdf.searchsorted(rng.random(), side="right")), len(cdf) - 1)
     coeffs = []
-    for m in reversed(A.moduli):
+    for m in reversed(f.structure.moduli):
         coeffs.append(idx % m)
         idx //= m
     return tuple(reversed(coeffs))
@@ -357,9 +363,9 @@ def find_order(
 ) -> int:
     """Exact order of g (or of its coset when `view` is a quotient view),
     realized as the Abelian HSP over Z_m with f(k) = label(g^k).  Without an
-    order_bound the view's order_hint is used; quotient views have none."""
+    order_bound the view's exponent_hint is used; quotient views have none."""
     if order_bound is None:
-        order_bound = view.order_hint
+        order_bound = view.exponent_hint
     if order_bound is None:
         raise NoOrderBound("need a known multiple of the order")
     m = int(order_bound)

@@ -14,6 +14,8 @@ checks the solver's budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import accumulate, repeat, takewhile
 from math import ceil, gcd, lcm, log2
 from typing import Callable, Optional, Sequence
 
@@ -25,6 +27,7 @@ from .core import (
     SolveFrame,
     SubgroupResult,
     _closure,
+    _element,
     _factor,
     enumerate_closure,
     enum_bound,
@@ -64,15 +67,15 @@ def commutator_query_budget(c: int, L: float) -> int:
     c = |G'|, L = log2 of the order bound, q = 2^L / c >= |G/G'| and
     s = ceil(log2 q), which bounds the number of prime-power cyclic factors
     of G/G' (each has order at least 2), so the number of kernel generators
-    too.  f is asked at most once per element, so the solver's f-queries are:
-    - the sieve of G' for H on G', f(1) first, which asks each element of G'
-      at most once: at most c;
+    too.  f is asked at most once per element, f(1) first, where the labels
+    so far leave membership open; besides f(1) the solver's f-queries are:
     - the certificates of the one Abelian HSP over G/G', which never form
       F(0): a scan of x*G' of at most c per kernel generator x, at
       most s per certified kernel and at most 1 + log2 q kernels, since
       each one certified strictly contains the next: c * s * (1 + log2 q);
-    - no coset scan: each pick is the member of H a certificate stopped at.
-    So B1 = c + c * s * (1 + log2 q).  Epsilon bounds only extra sampling
+    - no coset scan: each pick is the member of H a certificate stopped at;
+    - the sieve of G', at most the c - 1 elements other than 1.
+    So B1 = c + c * s * (1 + log2 q); epsilon bounds only extra sampling
     rounds, which make no f-query, so it does not enter.  The statevector
     sampler instead writes F over all of G/G', c * |G/G'| f-queries once
     per solve; solve_small_commutator adds that.
@@ -129,7 +132,8 @@ def solve_small_commutator(
     F(x), the sorted f-labels over x*G', hides H*G', which contains G'; so
     F hides H*G'/G' in the Abelian group G/G'.  G/G' is decomposed once,
     with group operations and no f-query, and one Abelian HSP over it finds
-    H*G'/G'."""
+    H*G'/G'.  A `LabelRecord` of f's labels certifies each kernel generator x
+    by x's pick, the first member of H in x*G', and then sieves G'."""
     f = SolveFrame(f, cfg)
 
     # (1) enumerate G' as the normal closure of the generator commutators
@@ -138,19 +142,16 @@ def solve_small_commutator(
     except BoundExceeded as exc:
         raise CommutatorBoundExceeded(str(exc)) from exc
 
-    # (2) generators of H on G' by a sieve of G', f(1) first
-    h_cap_gprime = sieve_generators(G, f, g_prime)
-
-    # (3) decompose G/G' with no f-query; (4) H*G'/G' by one Abelian HSP
+    # (2) the record, f(1) first; (3) decompose G/G' with no f-query;
+    # (4) H*G'/G' by one Abelian HSP, whose certificates keep the picks
+    record = LabelRecord(G, f, g_prime)
+    first_member = cache(record.first_member)  # each x certified once, its pick kept
     dec = decompose_abelian(CosetQuotientView(G, g_prime), G.generators)
-    F = CosetLabelOracle(G, f, g_prime)
-    hgp = lifted_hsp(dec, F, cfg, member=F.first_member)
+    hgp = lifted_hsp(dec, CosetLabelOracle(G, f, g_prime), cfg, member=first_member)
+    picks = [first_member(x) for x in hgp]
 
-    # (5) the first member of H in each x*G', found by x's certificate: no f-query
-    picks = [F.first_member(x) for x in hgp]
-
-    # (6) assemble H1
-    gens = picks + h_cap_gprime
+    # (5) the sieve of G', then the assembly of H1
+    gens = record.generators(picks)
     order_bound = G.order_hint or enum_bound()
     budget = commutator_query_budget(len(g_prime), max(1.0, log2(order_bound)))
     if cfg.backend == "statevector":
@@ -158,33 +159,83 @@ def solve_small_commutator(
     return f.result(gens, "commutator", budget)
 
 
-def sieve_generators(G: BlackBoxGroup, f, elements: Sequence[GroupElement]) -> list:
-    """Generators of H on the subgroup S of G whose elements are given,
-    identity first, asking f only where the answers so far leave membership
-    open.  A member y joins the generators and `inside` becomes their
-    closure; a non-member x puts x^j*k in `outside`, for j prime to ord(x)
-    and k inside, since x^j*k in H would give x^j, so x, in H.  f(1) is the
-    first query and no element is asked twice.  Works on raw encodings."""
-    mul, one, stats = G.backend.mul, G.backend.identity, G.stats
-    base = f.eval(G.identity())
-    gens, inside, outside = [], {one}, set()
-    for x in elements:
-        if x.value in inside or x.value in outside:
-            continue
-        if f.eval(x) == base:
-            gens.append(x)
-            values = [y.value for y in gens]
-            inside = set(_closure(mul, None, one, values, len(elements)))
-            stats.group_ops += len(inside) * len(values)
-            continue
-        powers = [x.value]
-        while powers[-1] != one:
-            powers.append(mul(powers[-1], x.value))
-        n = len(powers)  # ord(x); powers[j - 1] = x^j
-        units = [xj for j, xj in enumerate(powers[:-1], 1) if gcd(j, n) == 1]
-        outside.update(mul(xj, k) for xj in units for k in inside)
-        stats.group_ops += n - 1 + len(units) * len(inside)
-    return gens
+class LabelRecord:
+    """What one solve's f-labels imply about H on a normal subgroup N of G,
+    given by its elements (G' in the commutator solver).  f(a) = f(b) iff
+    b^-1 a lies in H, so where a and b share a coset of N equal labels put
+    b^-1 a `inside`, the closure of the members of H on N found, and unequal
+    ones put its unit powers, times `inside`, `outside`.  A member y outside
+    N puts inside its first power in N and its commutators with the earlier
+    such members.  Works on raw encodings; counts each product as a group op."""
+
+    def __init__(self, G: BlackBoxGroup, f, n_elements: Sequence[GroupElement]):
+        backend = G.backend
+        self.mul, self.inv, self.one, self.length = backend.mul, backend.inv, backend.identity, backend.n
+        self.f, self.stats, self.order = f, G.stats, [x.value for x in n_elements]
+        self.n, self.inside, self.outside, self.units = set(self.order), {self.one}, set(), set()
+        self.gens, self.members, self.asked = [], [], {}
+        self.base = f.eval(G.identity())
+
+    def member(self, y: int, key: int) -> bool:
+        """Whether y, in the coset of N of least encoding `key`, is in H: read
+        off y = b*z, b = 1 or asked, z inside or (b in H) outside; else asked."""
+        if y in self.inside or y in self.outside:
+            return y in self.inside
+        mul, inv, base, same = self.mul, self.inv, self.base, self.asked.setdefault(key, [])
+        pairs = [(y, base)] if y in self.n else []
+        for b_inv, label in same:  # (b^-1, f(b))
+            self.stats.group_ops += 1
+            z = mul(b_inv, y)
+            if z in self.inside or label == base and z in self.outside:
+                return label == base and z in self.inside
+            pairs.append((z, label))
+        label = self.f.eval(_element(y, self.length))
+        for z, seen in pairs:
+            self._decide(z, label == seen)
+        same.append((inv(y), label))
+        self.stats.group_ops += 1
+        if label != base or y in self.n:
+            return label == base
+        k, z = next((k, z) for k, z in enumerate(accumulate(repeat(y), mul)) if z in self.n)
+        self._decide(z, True, {y})
+        for m in self.members:  # y^-1 m^-1 y m
+            self._decide(mul(inv(mul(m, y)), mul(y, m)), True, {y, m})
+        self.stats.group_ops += k + 4 * len(self.members)
+        self.members.append(y)
+        return True
+
+    def _decide(self, z: int, member: bool, source: Optional[set] = None) -> None:
+        if z in (self.inside if member else self.units):
+            return
+        mul = self.mul
+        if member:  # source: the members z is a power or commutator of
+            self.gens.append((z, source))
+            self.inside = set(_closure(mul, None, self.one, [g for g, _ in self.gens], len(self.n)))
+            ops = len(self.inside) * len(self.gens)
+        else:  # z^1 .. z^(n-1), n = ord(z)
+            powers = list(takewhile(lambda zj: zj != self.one, accumulate(repeat(z), mul)))
+            self.units |= {zj for j, zj in enumerate(powers, 1) if gcd(j, len(powers) + 1) == 1}
+            ops = len(powers)
+        self.outside = {mul(u, k) for u in self.units for k in self.inside}
+        self.stats.group_ops += ops + len(self.units) * len(self.inside)
+
+    def first_member(self, x: GroupElement) -> Optional[GroupElement]:
+        """The first y of x*N in key order that is in H, or None: x*N meets H
+        iff x lies in H*N, so this certifies x there, and y is x's pick."""
+        coset = sorted(self.mul(x.value, c) for c in self.order)
+        self.stats.group_ops += len(coset)
+        y = next((y for y in coset if self.member(y, coset[0])), None)
+        return None if y is None else _element(y, self.length)
+
+    def generators(self, picks: Sequence[GroupElement]) -> list:
+        """Sieve N, asking f where membership is open, so `inside` is H on N;
+        then the picks, and each generator of H on N not derived from picks."""
+        key = min(self.order)
+        for z in self.order:
+            self.member(z, key)
+        values = {y.value for y in picks}
+        gens = [z for z, source in self.gens if not (source and source <= values)]
+        return list(picks) + [_element(z, self.length) for z in gens]
 
 
 def check_elem2_normal(
@@ -308,7 +359,7 @@ def solve_elem2_cyclic(
 
     def sylow_chains(qview: CosetQuotientView) -> list[GroupElement]:
         def quotient_order(x: GroupElement) -> int:
-            ambient = find_order(G, x, cfg.child("amb"), order_bound=G.order_hint)
+            ambient = find_order(G, x, cfg.child("amb"), order_bound=G.exponent_hint)
             return find_order(qview, x, cfg.child("quot"), order_bound=ambient)
 
         orders = [quotient_order(g) for g in G.generators]

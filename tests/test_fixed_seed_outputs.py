@@ -37,7 +37,7 @@ def test_compare_prints_both_counts(tmp_path, capsys):
     old, new = tmp_path / "old.json", tmp_path / "new.json"
     old.write_text(json.dumps(OLD))
     new.write_text(json.dumps(NEW))
-    assert fixed_seed_outputs.main(["--compare", str(old), str(new)]) == 0
+    assert fixed_seed_outputs.main(["--compare", str(old), str(new)]) == 1
     assert capsys.readouterr().out == (
         "4 differing instances, 3 differing as subgroups\n"
         "a: mean f_queries 4.5 -> 5.5, group_ops - -> -, rng_draws - -> -\n"
@@ -114,7 +114,24 @@ def test_compare_prints_the_largest_budget_use(tmp_path, capsys):
     paths = [tmp_path / "old.json", tmp_path / "new.json"]
     for path, dump in zip(paths, (old, new)):
         path.write_text(json.dumps(dump))
-    assert fixed_seed_outputs.main(["--compare", *map(str, paths)]) == 0
+    assert fixed_seed_outputs.main(["--compare", *map(str, paths)]) == 1  # "s" lost an instance
     lines = capsys.readouterr().out.splitlines()
     assert "s: largest budget use 0.180 -> 0.080" in lines
     assert not any(line.startswith("c: largest") for line in lines)
+
+
+def test_compare_exits_1_only_when_an_answer_differs_as_a_subgroup(tmp_path, capsys):
+    """Changed generators and counters keep the exit code 0; a changed
+    answer, an answer lost to an error, or a lost instance makes it 1."""
+    old = {"s": [{"gens": ["3:1"], "answer": "x", "f_queries": 4, "group_ops": 9}]}
+    cases = [
+        ({"s": [{"gens": ["3:2"], "answer": "x", "f_queries": 2, "group_ops": 7}]}, 0),
+        ({"s": [{"gens": ["3:2"], "answer": "y", "f_queries": 4, "group_ops": 9}]}, 1),
+        ({"s": [{"error": "E", "answer": None}]}, 1),
+        ({"s": []}, 1),
+    ]
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    for new, code in cases:
+        (tmp_path / "new.json").write_text(json.dumps(new))
+        assert fixed_seed_outputs.main(["--compare", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == code, new
+        capsys.readouterr()

@@ -80,6 +80,24 @@ def test_statevector_cap():
         sample_character(f, "statevector", RngStream(0))
 
 
+def test_statevector_state_built_once_per_oracle(monkeypatch):
+    """A statevector abelian_hsp builds its state once per oracle: one fftn
+    per label class, here the 12 cosets of H = <(2, 3)> in Z4 x Z6, however
+    many rounds it draws."""
+    import numpy as np
+
+    calls = []
+    real = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *a, **k: calls.append(1) or real(*a, **k))
+    A = AbelianStructure((4, 6))
+    f = _coset_oracle(A, [(2, 3)])
+    cfg = SolverConfig(seed=3, backend="statevector")
+    gens = abelian_hsp(f, cfg)
+    assert sorted(subgroup_elements(A, [list(t) for t in gens])) == [(0, 0), (2, 3)]
+    assert cfg.draws > 12
+    assert len(calls) == 12
+
+
 def test_backend_agreement_chi_square():
     """Both samplers look uniform on the same dual subgroup."""
     A = AbelianStructure((8, 2))

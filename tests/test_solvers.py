@@ -2,6 +2,8 @@
 
 import subprocess
 import sys
+from itertools import combinations, count
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from hsplab.linalg import decompose_abelian
 from hsplab.sim import RngStream, SolverConfig
 from hsplab.normalsub import hidden_normal_subgroup
 from hsplab.solvers import (
+    LabelRecord,
     abelian_query_budget,
     check_elem2_normal,
     commutator_query_budget,
@@ -89,10 +92,10 @@ def test_commutator_budget_asserted_per_run():
 
     expected = commutator_query_budget(3, max(1.0, math.log2(E.order_hint)))
     assert result.f_query_budget == expected
-    # H = G' = Z(G): the sieve of G' asks f(1) and one generator of G',
-    # which decides all of G' ~ Z_3 (2 f-queries); HG'/G' is trivial, so the
-    # Abelian HSP certifies the trivial kernel, which needs no test, and no
-    # coset is scanned
+    # H = G' = Z(G): HG'/G' is trivial, so the Abelian HSP certifies the
+    # trivial kernel, which needs no test, and no coset is scanned; the sieve
+    # of G' then asks one generator of G' after f(1), which decides all of
+    # G' ~ Z_3 (2 f-queries)
     assert result.stats.f_queries == 2
 
 
@@ -117,12 +120,13 @@ def test_commutator_solver_statevector_backend(variant):
 
 
 @pytest.mark.parametrize(
-    "variant,gens", [("exponent-p", ["6:10"]), ("exponent-p2", ["6:4", "6:18"])]
+    "variant,gens", [("exponent-p", ["6:10"]), ("exponent-p2", ["6:4"])]
 )
 def test_statevector_commutator_draws_unchanged_by_the_record(monkeypatch, variant, gens):
     """The statevector state is built from the full F labels whether or not f
-    is asked again, so a seeded solve draws the same characters, and returns
-    the same generators, as when every label was asked of f anew."""
+    is asked again, so a seeded solve draws the same characters as when
+    every label was asked of f anew.  On exponent-p2, H = <g1> contains G',
+    which the pick's p-th power gives, so the pick alone is returned."""
     from hsplab import sim
 
     draws = []
@@ -142,14 +146,27 @@ def test_statevector_commutator_draws_unchanged_by_the_record(monkeypatch, varia
 def test_elem2_statevector_solves_within_budget(k, solve):
     """Under the statevector sampler the rounds write f over N and over each
     coset z*N a pick sweeps; f is asked once per element and B2 grows by
-    n * (v - 1) for the sweeps, so both elem2 solvers finish within it.  (On
-    affine k=4 the cyclic solver's order finding over Z_|GL(5, 2)| is past
-    the statevector cap; the wreath group's order bound is 2^(2k + 1).)"""
+    n * (v - 1) for the sweeps, so both elem2 solvers finish within it."""
     G = make_group(GroupSpec(kind="wreath", k=k))
     n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
     swap = GroupElement(G.backend.encode(0, 0, 1))
     f = make_hiding_oracle(G, [G.multiply(swap, n_gens[0])], seed=81)
     result = solve(G, n_gens, f, SolverConfig(seed=82, backend="statevector"))
+    _check(G, f, result, enumerate_closure(G, G.generators))
+    assert result.stats.f_queries <= result.f_query_budget
+
+
+@pytest.mark.parametrize("hidden", [[], [0], [1, 2]], ids=["trivial", "block", "two"])
+def test_elem2_cyclic_statevector_on_affine4(hidden):
+    """elem2-cyclic on affine k=4 under the statevector sampler: the orders
+    are found over Z_30, 30 = 2 * 15 the group's exponent hint, not over
+    Z_|GL(5, 2)| = Z_9,999,360, past the statevector cap; every answer is
+    the brute-force H, within budget."""
+    G = affine4_group()
+    assert G.exponent_hint == 30
+    n_gens = [GroupElement(bits) for bits in G.meta["elem2_normal_gens"]]
+    f = make_hiding_oracle(G, [G.generators[i] for i in hidden], seed=83)
+    result = solve_elem2_cyclic(G, n_gens, f, SolverConfig(seed=84, backend="statevector"))
     _check(G, f, result, enumerate_closure(G, G.generators))
     assert result.stats.f_queries <= result.f_query_budget
 
@@ -366,18 +383,22 @@ def test_budget_formulas_respond_to_inputs():
     assert commutator_query_budget(3, 5) == 56
 
 
-@pytest.mark.parametrize("variant", ["exponent-p", "exponent-p2"])
-def test_commutator_queries_grow_like_the_commutator_subgroup(variant):
-    """On es(p), G' ~ Z_p: with H trivial the solver makes 2 f-queries (the
-    sieve of G' asks f(1) and one non-identity element, which decides all
-    of G'; F(0) certifying the trivial kernel is read off the record), and
-    with H = <g1> 3 (one kernel generator, whose coset scan stops at its
-    first element, a member of H and the pick); neither grows with
-    |G'| = p or |G/G'| = p^2, and each stays within B1."""
+@pytest.mark.parametrize(
+    "variant,with_g1", [("exponent-p", 3), ("exponent-p2", 2)], ids=["exponent-p", "exponent-p2"]
+)
+def test_commutator_queries_grow_like_the_commutator_subgroup(variant, with_g1):
+    """On es(p), G' ~ Z_p.  With H trivial the solver makes 2 f-queries:
+    f(1), and one non-identity element of G' in the sieve, which decides
+    all of G'.  With H = <g1> the one kernel generator's coset scan stops
+    at its first element, a member of H and the pick.  On exponent-p the
+    sieve then asks one element of G' (3 f-queries); on exponent-p2 the
+    pick's p-th power generates G', inside H, and the sieve asks nothing
+    (2).  Neither grows with |G'| = p or |G/G'| = p^2, and each stays
+    within B1."""
     for p in (3, 5, 7, 11, 13):
         G = make_group(GroupSpec(kind="extraspecial", p=p, variant=variant))
         elements = enumerate_closure(G, G.generators)
-        for hidden, expected in (([], 2), ([G.generators[0]], 3)):
+        for hidden, expected in (([], 2), ([G.generators[0]], with_g1)):
             f = make_hiding_oracle(G, hidden, seed=p)
             result = solve_small_commutator(G, f, SolverConfig(seed=p + 1))
             assert result.stats.f_queries == expected, (p, len(hidden))
@@ -516,16 +537,127 @@ def test_commutator_solve_leaves_sympy_unloaded():
 
 @pytest.mark.parametrize("name", SMALL_COMMUTATOR)
 def test_sieve_finds_h_on_the_commutator_subgroup(name):
-    """For every subgroup H, the sieve's generators close to exactly H on G'
-    (by brute force over G'), it asks f at most |G'| times, and on es(3),
-    where G' ~ Z_3, exactly twice: f(1) and one element deciding all of G'."""
+    """For every subgroup H, the record's sieve of G' alone (its generators
+    with no picks) leaves `inside` equal to H on G' (by brute force over G')
+    and every other element of G' outside, and those generators close to
+    H on G'; it asks f at most |G'| times, and on es(3), where G' ~ Z_3,
+    exactly twice: f(1) and one element deciding all of G'."""
     G = small_commutator_group(name)
     g_prime = normalsub.commutator_subgroup(G, 64).closure_certificate
     for i, sub in enumerate(subgroups_of(G, enumerate_closure(G, G.generators))):
         f = make_hiding_oracle(G, sub, seed=i)
-        gens = solvers.sieve_generators(G, f, g_prime)
-        members = brute_force_hsp(G, g_prime, f)
-        assert subgroup_key(G, enumerate_closure(G, gens)) == subgroup_key(G, members), i
+        record = LabelRecord(G, f, g_prime)
+        gens = record.generators([])
+        members = {x.value for x in brute_force_hsp(G, g_prime, f)}
+        assert {x.value for x in enumerate_closure(G, gens)} == members, i
+        assert record.inside == members, i
+        assert record.outside == {x.value for x in g_prime} - members, i
         assert f.query_count <= len(g_prime)
         if name.startswith("es3"):
             assert f.query_count == 2
+
+
+def _coset_key(G, g_prime, y):
+    return min(G.backend.mul(y.value, c.value) for c in g_prime)
+
+
+@pytest.mark.parametrize("name", ["es3-p", "d16"])
+def test_label_record_inference_rules(name):
+    """Each rule of the record on its own, for every subgroup H: two labels
+    in one coset x*G' put c = x^-1 (x c) inside when they are equal and c in
+    H, and outside with its unit powers when they differ; a member found by
+    a certificate puts its first power in G' and its commutator with an
+    earlier one inside; and nothing outside H on G' ever gets inside."""
+    G = small_commutator_group(name)
+    elements = enumerate_closure(G, G.generators)
+    g_prime = normalsub.commutator_subgroup(G, 64).closure_certificate
+    x = next(g for g in G.generators if g not in g_prime)
+    key = _coset_key(G, g_prime, x)
+    for i, sub in enumerate(subgroups_of(G, elements)):
+        h = {y.value for y in enumerate_closure(G, sub)}
+        for c in g_prime[1:]:
+            record = LabelRecord(G, make_hiding_oracle(G, sub, seed=i), g_prime)
+            record.member(x.value, key)
+            record.member(G.multiply(x, c).value, key)
+            if c.value in h:
+                assert c.value in record.inside
+            else:
+                order = next(j for j in count(1) if G.is_identity(G.power(c, j)))
+                units = {G.power(c, j).value for j in range(1, order) if gcd(j, order) == 1}
+                assert units <= record.outside
+            assert record.inside <= h
+        record = LabelRecord(G, make_hiding_oracle(G, sub, seed=i), g_prime)
+        outside_g_prime = [g for g in elements if g not in g_prime]
+        picks = [y for y in map(record.first_member, outside_g_prime) if y is not None]
+        assert {y.value for y in picks} <= h
+        for j, y in enumerate(picks):
+            z = y
+            while z not in g_prime:
+                z = G.multiply(z, y)
+            assert z.value in record.inside
+            for m in picks[:j]:  # y^-1 m^-1 y m
+                assert G.multiply(G.invert(G.multiply(m, y)), G.multiply(y, m)).value in record.inside
+        assert record.inside <= h
+
+
+class _SpyOracle:
+    """A hiding oracle that fails the test when it is asked for an element
+    whose membership in H the labels it gave before imply, by the record's
+    rules recomputed from scratch: H on G' contains the closure of the
+    quotients b^-1 a in G' of equal labels, and of the first powers in G'
+    and the commutators of the members outside G'; the unit powers of the
+    quotients of unequal labels, times that closure, lie outside H."""
+
+    def __init__(self, f, g_prime):
+        self.f, self.group, self.peek, self.hidden_gens = f, f.group, f.peek, f.hidden_gens
+        self.g_prime, self.asked = set(g_prime), []
+
+    def eval(self, y):
+        assert not self._implied(y), (y, self.asked)
+        self.asked.append((y, self.f.eval(y)))
+        return self.asked[-1][1]
+
+    def _implied(self, y) -> bool:
+        if not self.asked:
+            return False
+        G, base = self.group, self.asked[0][1]
+
+        def quotient(b, a):  # b^-1 a
+            return G.multiply(G.invert(b), a)
+
+        pairs = [(quotient(b, a), lb == la) for (b, lb), (a, la) in combinations(self.asked, 2)]
+        pairs = [(z, equal) for z, equal in pairs if z in self.g_prime]
+        members = [a for a, label in self.asked if label == base and a not in self.g_prime]
+        seeds = [z for z, equal in pairs if equal]
+        for m in members:
+            z = m
+            while z not in self.g_prime:
+                z = G.multiply(z, m)
+            seeds.append(z)
+        seeds += [quotient(G.multiply(m, a), G.multiply(a, m)) for m, a in combinations(members, 2)]
+        inside = set(enumerate_closure(G, seeds))
+        units = set()
+        for z, equal in pairs:
+            order = next(j for j in count(1) if G.is_identity(G.power(z, j)))
+            if not equal:
+                units |= {G.power(z, j) for j in range(1, order) if gcd(j, order) == 1}
+        outside = {G.multiply(u, k) for u in units for k in inside}
+        return any(
+            quotient(b, y) in inside or (label == base and quotient(b, y) in outside)
+            for b, label in self.asked
+        )
+
+
+@pytest.mark.parametrize("name", SMALL_COMMUTATOR)
+def test_commutator_solver_never_asks_an_implied_label(name):
+    """Over every subgroup H, each f-query of the commutator solver is an
+    element whose membership its earlier labels leave open, and the answer
+    is H."""
+    G = small_commutator_group(name)
+    elements = enumerate_closure(G, G.generators)
+    g_prime = normalsub.commutator_subgroup(G, 64).closure_certificate
+    for i, sub in enumerate(subgroups_of(G, elements)):
+        spy = _SpyOracle(make_hiding_oracle(G, sub, seed=i), g_prime)
+        result = solve_small_commutator(G, spy, SolverConfig(seed=i))
+        _check(G, spy.f, result, elements)
+        assert result.stats.f_queries == len(spy.asked)
