@@ -14,6 +14,19 @@ instance also gets an ``answer``: a digest of the sorted element keys of the
 subgroup the returned generators generate, or null on an error.  Two trees
 that compute the same thing write byte-identical files.
 
+Two more pools run code that no benchmark pool reaches, at the same seeds:
+
+* ``membership``: ``find_order`` of each input and ``constructive_membership``
+  on fixed inputs in the three regimes (the group, G modulo a hidden normal
+  subgroup through a ``LabelQuotientView``, and G modulo a normal subgroup
+  given by its elements through a ``CosetQuotientView``); the answer is the
+  member flag and the orders.
+* ``normal``: ``hidden_normal_subgroup`` on every normal subgroup of es(3)
+  (both variants), D16 and wreath k=2; the answer is the subgroup digest.
+
+Both use only library API that has long been public, so that this script can
+run against an older checkout's library.
+
 The second form prints ``identical``, or the number of instances whose
 outputs differ and the number whose answers differ as subgroups, followed by
 each pool's mean ``f_queries``, ``group_ops`` and ``rng_draws``, old -> new,
@@ -29,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import tempfile
 from collections import Counter
@@ -92,8 +106,142 @@ def _cli_outputs(prepared, inst) -> dict:
     return {"group": group.label, "code": code, "report": report, "answer": answer}
 
 
-def dump(out_path: Path) -> None:
+ES3 = "kind = extraspecial\np = 3\nvariant = {}\n"
+D16 = "kind = permutation\ndegree = 8\ngen = (1 2 3 4 5 6 7 8)\ngen = (2 8)(3 7)(4 6)\n"
+S8 = "kind = permutation\ndegree = 8\ngen = (1 2 3 4 5 6 7 8)\ngen = (1 2)\n"
+NORMAL_GROUPS = {
+    "es3-p": ES3.format("exponent-p"),
+    "es3-p2": ES3.format("exponent-p2"),
+    "d16": D16,
+    "wreath2": "kind = wreath\nk = 2\n",
+}
+
+
+def _group(text: str):
+    from workloads import core, specfile
+
+    return core.make_group(specfile.parse_group_spec(text))
+
+
+def _word(G, *pairs):
+    """x_1^e_1 ... x_k^e_k over G's generators, (i, e) for x = generator i."""
+    x = G.identity()
+    for i, e in pairs:
+        x = G.multiply(x, G.power(G.generators[i], e))
+    return x
+
+
+def _membership_inputs() -> list:
+    """(group label, G, regime, N's generators, h_list, g) of each membership
+    instance; regime is "group", "hidden" or "generated"."""
+    from workloads import AFFINE4, GroupElement, specfile
+
+    s8 = _group(S8)
+    perm = lambda text: GroupElement(s8.backend.encode(specfile.parse_cycles(text, 8)))
+    z = _group("kind = abelian\nmoduli = 4 6\n")
+    d16, es3, affine4 = _group(D16), _group(ES3.format("exponent-p")), _group(AFFINE4)
+    centre = [es3.commutator(*es3.generators)]
+    n_affine = [GroupElement(b) for b in affine4.meta["elem2_normal_gens"]]
+    r2, r4 = [_word(d16, (0, 2))], [_word(d16, (0, 4))]
+    w = _word
+    return [
+        ("s8", s8, "group", [], [perm("(1 2 3 4)"), perm("(5 6)")], perm("(1 3)(2 4)(5 6)")),
+        ("s8", s8, "group", [], [perm("(1 2 3 4)"), perm("(5 6)")], perm("(1 4 3 2)")),
+        ("s8", s8, "group", [], [perm("(1 2 3 4)"), perm("(5 6)")], perm("(7 8)")),
+        ("z4xz6", z, "group", [], [w(z, (0, 1)), w(z, (1, 2))], w(z, (0, 3), (1, 4))),
+        ("z4xz6", z, "group", [], [w(z, (0, 2))], w(z, (1, 3))),
+        ("d16", d16, "hidden", r2, [w(d16, (0, 1)), w(d16, (1, 1))], w(d16, (0, 5), (1, 1))),
+        ("d16", d16, "hidden", r2, [w(d16, (0, 1))], w(d16, (1, 1))),
+        ("d16", d16, "hidden", r4, [w(d16, (0, 1))], w(d16, (0, 3))),
+        ("es3-p", es3, "hidden", centre, es3.generators, w(es3, (0, 2), (1, 1))),
+        ("es3-p", es3, "hidden", centre, [es3.generators[0]], es3.generators[1]),
+        ("affine4", affine4, "hidden", n_affine, [affine4.generators[0]], affine4.generators[1]),
+        ("es3-p", es3, "generated", centre, [es3.generators[0]], w(es3, (0, 2))),
+        ("es3-p", es3, "generated", centre, [es3.generators[0]], es3.generators[1]),
+        ("affine4", affine4, "generated", n_affine, [affine4.generators[0]], affine4.generators[2]),
+        ("affine4", affine4, "generated", n_affine, [w(affine4, (0, 3))], affine4.generators[0]),
+    ]
+
+
+def membership_outputs(seed: int) -> list:
+    """The membership pool at one seed: per instance the orders of h_1..h_r
+    and g and the membership verdict, at the view's equality."""
+    from workloads import HspError, SolverConfig, core
+    from hsplab.linalg import CosetQuotientView, LabelQuotientView
+    from hsplab.membership import constructive_membership
+    from hsplab.sim import find_order
+
+    rng = random.Random(f"membership:{seed}")
+    out = []
+    for label, G, regime, n_gens, h_list, g in _membership_inputs():
+        f = core.make_hiding_oracle(G, n_gens, seed=rng.getrandbits(64))
+        view = {
+            "group": G,
+            "hidden": LabelQuotientView(G, f),
+            "generated": CosetQuotientView(G, core.enumerate_closure(G, n_gens)),
+        }[regime]
+        cfg = SolverConfig(seed=rng.getrandbits(32))
+        ops = G.stats.group_ops
+        record = {"group": label, "regime": regime, "answer": None}
+        try:
+            orders = [find_order(view, x, cfg, order_bound=G.exponent_hint) for x in [*h_list, g]]
+            ans = constructive_membership(view, h_list, g, cfg)
+        except HspError as exc:
+            record["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            record.update(
+                answer=[ans.member, orders],
+                exponents=None if ans.exponents is None else list(ans.exponents.values),
+                f_queries=f.query_count,
+                group_ops=G.stats.group_ops - ops,
+                rng_draws=cfg.draws,
+            )
+        out.append(record)
+    return out
+
+
+def normal_outputs(seed: int) -> list:
+    """The normal pool at one seed: hidden_normal_subgroup on every normal
+    subgroup N of each group, H = N."""
+    from workloads import HspError, SolverConfig, core, verify
+    from hsplab.normalsub import hidden_normal_subgroup
+
+    rng = random.Random(f"normal:{seed}")
+    out = []
+    for label, text in NORMAL_GROUPS.items():
+        G = _group(text)
+        for sub in verify.subgroups_of(G, core.enumerate_closure(G, G.generators)):
+            keys = verify.subgroup_key(G, sub)
+            if any(G.key(G.conjugate(g, x)) not in keys for g in G.generators for x in sub):
+                continue  # not normal
+            f = core.make_hiding_oracle(G, sub, seed=rng.getrandbits(64))
+            hidden = _answer(G, [x.hex for x in sub])
+            record = {"group": label, "hidden": hidden, "hidden_order": len(sub), "answer": None}
+            try:
+                result = hidden_normal_subgroup(G, f, SolverConfig(seed=rng.getrandbits(32)))
+            except HspError as exc:
+                record["error"] = f"{type(exc).__name__}: {exc}"
+            else:
+                gens = [x.hex for x in result.gens]
+                record.update(
+                    answer=_answer(G, gens),
+                    gens=gens,
+                    f_queries=result.stats.f_queries,
+                    group_ops=result.stats.group_ops,
+                    rng_draws=result.stats.rng_draws,
+                    f_query_budget=result.f_query_budget,
+                )
+            out.append(record)
+    return out
+
+
+def use_checkout() -> None:
+    """Import hsplab from this checkout's src/, and the pools from perfbench/."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+
+def dump(out_path: Path) -> None:
+    use_checkout()
     from workloads import WORKLOADS, Prepared, cli
 
     if Path(cli.__file__).resolve().parent != (ROOT / "src" / "hsplab").resolve():
@@ -111,6 +259,9 @@ def dump(out_path: Path) -> None:
                     ]
                 finally:
                     prepared.close()
+    for seed in SEEDS:
+        outputs[f"membership/{seed}"] = membership_outputs(seed)
+        outputs[f"normal/{seed}"] = normal_outputs(seed)
     out_path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
 
 

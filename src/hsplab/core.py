@@ -510,16 +510,21 @@ class GroupView:
         return all(self.commute(a, b) for a, b in combinations(xs, 2))
 
     def power(self, g, k: int):
-        if k < 0:
-            g, k = self.invert(g), -k
+        return self.word([g], [k])
+
+    def word(self, xs, exponents):
+        """prod x_i^e_i, in order: each power is squared and multiplied into
+        one running product, which starts at the identity."""
         result = self.identity()
-        base = g
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            if k >> 1:
-                base = self.multiply(base, base)
-            k >>= 1
+        for g, k in zip(xs, exponents):
+            if k < 0:
+                g, k = self.invert(g), -k
+            while k:
+                if k & 1:
+                    result = self.multiply(result, g)
+                if k >> 1:
+                    g = self.multiply(g, g)
+                k >>= 1
         return result
 
     def commutator(self, a, b):

@@ -7,7 +7,9 @@ commuting pairwise in the view, compute the element orders s_1..s_r, s in
 the view, hide the kernel of
 phi(a_1..a_r, a) = h_1^{a_1} ... h_r^{a_r} g^{-a}
 over Z_{s_1} x ... x Z_{s_r} x Z_s, and read off an expression for g from a
-kernel element whose last coordinate is coprime to s.
+kernel element whose last coordinate is coprime to s.  phi is
+`sim.cover_oracle` over the images h_1..h_r, g^-1, and a member answer is
+checked with one `GroupView.word`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Optional, Sequence
 
 from .core import GroupView
 from .errors import InvariantBroken, NotCommuting
-from .linalg import AbelianStructure, QuotientView
-from .sim import QuantumFunctionOracle, SolverConfig, _kernel_provider, abelian_hsp, find_order
+from .linalg import QuotientView
+from .sim import SolverConfig, abelian_hsp, cover_oracle, find_order
 
 
 @dataclass(frozen=True)
@@ -81,35 +83,6 @@ def extract_expression(
     return ExponentTuple(tuple(scaled[:-1]), moduli[:-1])
 
 
-def _phi_oracle(
-    view: GroupView,
-    h_list: Sequence,
-    g,
-    orders: Sequence[int],
-    s: int,
-) -> QuantumFunctionOracle:
-    structure = AbelianStructure(tuple(orders) + (s,))
-    g_inv = view.invert(g)
-    power_tables = []
-    for h, sh in zip(h_list, orders):
-        table = [view.identity()]
-        for _ in range(sh - 1):
-            table.append(view.multiply(table[-1], h))
-        power_tables.append(table)
-    g_table = [view.identity()]
-    for _ in range(s - 1):
-        g_table.append(view.multiply(g_table[-1], g_inv))
-
-    def elem(t):
-        x = view.identity()
-        for table, a in zip(power_tables, t[:-1]):
-            x = view.multiply(x, table[a])
-        return view.multiply(x, g_table[t[-1]])
-
-    images = list(h_list) + [g_inv]
-    return QuantumFunctionOracle(structure, view, elem, _kernel_provider(view, images))
-
-
 def constructive_membership(
     view: GroupView,
     h_list: Sequence,
@@ -130,10 +103,7 @@ def constructive_membership(
     answer = _attempt(view, h_list, g, cfg.child("membership"))
     if not answer.member:
         return answer
-    x = view.identity()
-    for h, a in zip(h_list, answer.exponents.values):
-        x = view.multiply(x, view.power(h, a))
-    if view.key(x) != view.key(g):
+    if view.key(view.word(h_list, answer.exponents.values)) != view.key(g):
         raise InvariantBroken(f"member answer {answer.exponents.values} fails verification")
     return answer
 
@@ -150,7 +120,7 @@ def _attempt(view: GroupView, h_list: Sequence, g, cfg: SolverConfig) -> Members
         for h, b in zip(h_list, bounds[:-1])
     ]
     s = find_order(view, g, cfg.child("order-g"), order_bound=bounds[-1])
-    oracle = _phi_oracle(view, h_list, g, orders, s)
+    oracle = cover_oracle(view, list(h_list) + [view.invert(g)], tuple(orders) + (s,))
     kernel = abelian_hsp(oracle, cfg.child("kernel"))
     expr = extract_expression(kernel, tuple(orders) + (s,))
     if expr is None:

@@ -63,9 +63,7 @@ def generator_quotients(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupE
     N, since xN = yN."""
     out = []
     for x, coordinates in zip(G.generators, p.coordinates):
-        y = G.identity()
-        for t, a in zip(p.generators, coordinates):
-            y = G.multiply(y, G.power(t, a))
+        y = G.word(p.generators, coordinates)
         out.append(G.multiply(G.invert(y), x))
     return out
 

@@ -4,6 +4,9 @@ Abelian groups, the Abelian hidden-subgroup solver, and order finding.
 A `QuantumFunctionOracle` reads f through a view: its counted path is the
 view's key and its harness path the view's `hkey`, taken only here, so a
 solver hands over a view and an element map and never peeks itself.
+Order finding and constructive membership ask one kind of oracle,
+`cover_oracle`: t -> prod x_i^t_i over Z_m1 x ... x Z_mk, whose kernel is
+the relation lattice of the x_i.
 
 Two sampler backends produce uniform draws from H-perp:
 
@@ -316,17 +319,6 @@ def order_from_multiple(view: GroupView, g, m: int) -> int:
     return d
 
 
-def cyclic_power_oracle(view: GroupView, g, m: int) -> QuantumFunctionOracle:
-    """Oracle k -> label(g^k) over Z_m, with a harness order provider."""
-
-    def provider():
-        d = order_from_multiple(view, g, m)
-        return [(d % m,)] if d < m else []
-
-    elem = cache(lambda t: view.power(g, t[0]))
-    return QuantumFunctionOracle(AbelianStructure((m,)), view, elem, provider)
-
-
 class _HarnessView(QuotientView):
     """A view whose equality is the wrapped view's harness-privileged key."""
 
@@ -340,6 +332,19 @@ def _kernel_provider(view: GroupView, images: Sequence) -> Callable:
     relations among the images, found by decomposing the group they
     generate at the view's harness key, generate that kernel once reduced."""
     return lambda: decompose_abelian(_HarnessView(view), images).relations
+
+
+def cover_oracle(
+    view: GroupView, images: Sequence, moduli: Sequence[int], provider: Optional[Callable] = None
+) -> QuantumFunctionOracle:
+    """The oracle of t -> prod images_i^t_i over Z_m1 x ... x Z_mk, each m_i a
+    multiple of image i's order in the view.  Its kernel is the relation
+    lattice of the images; each element is formed by `view.word` when first
+    asked and then kept.  `provider` defaults to those relations."""
+    elem = cache(lambda t: view.word(images, t))
+    if provider is None:
+        provider = _kernel_provider(view, images)
+    return QuantumFunctionOracle(AbelianStructure(tuple(moduli)), view, elem, provider)
 
 
 def _hiding_provider(view: GroupView, tuple_of: Callable) -> Callable:
@@ -362,7 +367,8 @@ def find_order(
     order_bound: Optional[int] = None,
 ) -> int:
     """Exact order of g (or of its coset when `view` is a quotient view),
-    realized as the Abelian HSP over Z_m with f(k) = label(g^k).  Without an
+    realized as the Abelian HSP over Z_m on the cover oracle k -> g^k, whose
+    harness provider reads the order off `order_from_multiple`.  Without an
     order_bound the view's exponent_hint is used; quotient views have none."""
     if order_bound is None:
         order_bound = view.exponent_hint
@@ -373,5 +379,6 @@ def find_order(
         raise NoOrderBound(f"bad order bound {m}")
     if view.is_identity(g) or m == 1:
         return 1
-    gens = abelian_hsp(cyclic_power_oracle(view, g, m), cfg)
+    provider = lambda: [(order_from_multiple(view, g, m),)]  # order m reduces to 0
+    gens = abelian_hsp(cover_oracle(view, [g], (m,), provider), cfg)
     return gcd(m, *(t[0] for t in gens))

@@ -207,17 +207,21 @@ class LabelRecord:
     def _decide(self, z: int, member: bool, source: Optional[set] = None) -> None:
         if z in (self.inside if member else self.units):
             return
+        if len(self.inside) + len(self.outside) == len(self.n):
+            return  # every element of N is decided
         mul = self.mul
         if member:  # source: the members z is a power or commutator of
             self.gens.append((z, source))
             self.inside = set(_closure(mul, None, self.one, [g for g, _ in self.gens], len(self.n)))
-            ops = len(self.inside) * len(self.gens)
-        else:  # z^1 .. z^(n-1), n = ord(z)
+            self.outside = {mul(u, k) for u in self.units for k in self.inside}
+            ops = len(self.inside) * (len(self.gens) + len(self.units))
+        else:  # z^1 .. z^(n-1), n = ord(z); only its new units join outside
             powers = list(takewhile(lambda zj: zj != self.one, accumulate(repeat(z), mul)))
-            self.units |= {zj for j, zj in enumerate(powers, 1) if gcd(j, len(powers) + 1) == 1}
-            ops = len(powers)
-        self.outside = {mul(u, k) for u in self.units for k in self.inside}
-        self.stats.group_ops += ops + len(self.units) * len(self.inside)
+            new = {zj for j, zj in enumerate(powers, 1) if gcd(j, len(powers) + 1) == 1} - self.units
+            self.units |= new
+            self.outside |= {mul(u, k) for u in new for k in self.inside}
+            ops = len(powers) + len(new) * len(self.inside)
+        self.stats.group_ops += ops
 
     def first_member(self, x: GroupElement) -> Optional[GroupElement]:
         """The first y of x*N in key order that is in H, or None: x*N meets H

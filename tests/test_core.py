@@ -204,6 +204,29 @@ def test_power_conventions():
     assert G.is_identity(G.power(g, 4))
 
 
+def test_word_is_the_ordered_product_of_powers():
+    """word(xs, es) = x_1^e_1 ... x_k^e_k in order, negative exponents
+    included.  Each power is squared into one running product, so a word
+    costs one group op per factor less than multiplying separate powers."""
+    G = q8_group()
+    i, j = G.generators
+    assert G.is_identity(G.word([], []))
+    assert G.equal(G.word([i], [-1]), G.invert(i))
+    assert G.equal(G.word([i, j], [1, -3]), G.multiply(i, G.power(j, -3)))
+    assert not G.equal(G.word([i, j], [1, 1]), G.word([j, i], [1, 1]))  # order kept
+    for xs, es in [([i, j, i], [3, 2, -1]), ([j, i], [0, 5]), ([i], [7])]:
+        ops = G.stats.group_ops
+        x = G.identity()
+        for g, e in zip(xs, es):
+            x = G.multiply(x, G.power(g, e))
+        loop_ops, ops = G.stats.group_ops - ops, G.stats.group_ops
+        assert G.equal(G.word(xs, es), x)
+        assert G.stats.group_ops - ops == loop_ops - len(xs)
+    ops = G.stats.group_ops
+    G.power(i, 7)  # a one-factor word: 7 = 0b111, three products and two squarings
+    assert G.stats.group_ops - ops == 5
+
+
 def test_commuting_checks_pairs_in_order():
     G = q8_group()
     i, j = G.generators

@@ -135,3 +135,30 @@ def test_compare_exits_1_only_when_an_answer_differs_as_a_subgroup(tmp_path, cap
         (tmp_path / "new.json").write_text(json.dumps(new))
         assert fixed_seed_outputs.main(["--compare", str(tmp_path / "old.json"), str(tmp_path / "new.json")]) == code, new
         capsys.readouterr()
+
+
+def test_the_membership_and_normal_pools_answer_right(monkeypatch):
+    """The two pools that run code no benchmark pool reaches: every member
+    flag and order agrees with enumeration in G, and every normal subgroup
+    is found or refused for a non-Abelian quotient."""
+    from hsplab.core import enumerate_closure
+
+    monkeypatch.syspath_prepend(str(SCRIPT.parent.parent / "perfbench"))
+    inputs = fixed_seed_outputs._membership_inputs()
+    records = fixed_seed_outputs.membership_outputs(1)
+    assert {r["regime"] for r in records} == {"group", "hidden", "generated"}
+    for (_, G, _, n_gens, h_list, g), record in zip(inputs, records, strict=True):
+        n_keys = {G.key(x) for x in enumerate_closure(G, n_gens)}
+        orders = [
+            next(k for k in range(1, 841) if G.key(G.power(x, k)) in n_keys) for x in [*h_list, g]
+        ]
+        member = G.key(g) in {G.key(x) for x in enumerate_closure(G, [*h_list, *n_gens])}
+        assert record["answer"] == [member, orders], record
+    assert {record["answer"][0] for record in records} == {True, False}
+
+    normal = fixed_seed_outputs.normal_outputs(1)
+    assert {r["group"] for r in normal} == set(fixed_seed_outputs.NORMAL_GROUPS)
+    refused = [r for r in normal if r["answer"] is None]
+    assert all(r["error"].startswith("QuotientNotAbelian") for r in refused)
+    assert all(r["answer"] == r["hidden"] for r in normal if r not in refused)
+    assert len(refused) < len(normal)

@@ -129,7 +129,7 @@ def test_label_quotient_membership_counts_pinned():
     queries, ops = f.query_count, G.stats.group_ops
     ans = constructive_membership(LabelQuotientView(G, f), [r, s], g, SolverConfig(seed=62))
     assert ans.exponents == ExponentTuple((1, 1), (2, 2))
-    assert (f.query_count - queries, G.stats.group_ops - ops) == (18, 198)
+    assert (f.query_count - queries, G.stats.group_ops - ops) == (18, 190)
 
 
 def test_extract_expression_examples():

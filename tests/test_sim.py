@@ -21,13 +21,15 @@ from hsplab.sim import (
     RngStream,
     SolverConfig,
     abelian_hsp,
+    cover_oracle,
     find_order,
     sample_character,
     splitmix64,
 )
+from hsplab.specfile import parse_cycles
 from hsplab.verify import chi_square_uniform
 
-from conftest import affine4_group, label_oracle
+from conftest import affine4_group, d16_group, label_oracle, q8_group, s8_group
 
 
 def _coset_oracle(structure, h_gens):
@@ -208,6 +210,23 @@ def test_solver_code_never_names_the_harness_path(module):
     assert found == []
 
 
+def test_cover_oracle_is_the_one_oracle_of_membership_and_order_finding():
+    """membership.py builds its oracle through sim.cover_oracle and names no
+    oracle class or harness provider; within sim, cover_oracle is the only
+    caller of QuantumFunctionOracle."""
+    names = set(_source_names(SRC / "membership.py"))
+    assert names & {"QuantumFunctionOracle", "_kernel_provider", "AbelianStructure"} == set()
+    assert "cover_oracle" in names
+    callers = {
+        fn.name
+        for fn in ast.walk(ast.parse((SRC / "sim.py").read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "QuantumFunctionOracle"
+    }
+    assert callers == {"cover_oracle"}
+
+
 @pytest.mark.parametrize("module", ["solvers.py", "normalsub.py", "cli.py"])
 def test_only_the_solve_frame_keeps_the_books(module):
     """Solvers and the CLI take their f-queries, counters and budget checks
@@ -331,3 +350,58 @@ def test_solver_config_draws_counts_children():
     grandchild.rng.randrange(3)
     assert (cfg.draws, child.draws, grandchild.draws) == (4, 4, 4)
     assert SolverConfig(seed=9).draws == 0
+
+
+def _perm(G, text):
+    return GroupElement(G.backend.encode(parse_cycles(text, 8)))
+
+
+def _cover_case(name):
+    """A view, images commuting in it, and moduli that are multiples of the
+    images' orders there."""
+    if name == "z4xz6":
+        G = make_group(GroupSpec(kind="abelian", moduli=(4, 6)))
+        a, b = G.generators
+        return G, [a, b, G.multiply(a, b)], (4, 6, 12)
+    if name == "s8":
+        G = s8_group()
+        return G, [_perm(G, t) for t in ("(1 2 3 4)", "(1 3)(2 4)", "(5 6 7)")], (4, 2, 6)
+    if name == "d16-mod-hidden-r2":
+        G = d16_group()
+        r, s = G.generators
+        view = LabelQuotientView(G, make_hiding_oracle(G, [G.power(r, 2)], seed=7))
+        return view, [r, s, G.multiply(r, s)], (8, 2, 2)
+    G = q8_group()  # Q8 modulo its centre <-1>, given by its elements
+    i, j = G.generators
+    return CosetQuotientView(G, enumerate_closure(G, [G.power(i, 2)])), [i, j], (4, 4)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "statevector"])
+@pytest.mark.parametrize("name", ["z4xz6", "s8", "d16-mod-hidden-r2", "q8-mod-centre"])
+def test_cover_oracle_hides_the_relations_of_its_images(name, backend):
+    """Over Z_m1 x ... x Z_mk, t -> prod images_i^t_i hides the brute-force
+    kernel {t : the product is 1 in the view}; abelian_hsp finds it under
+    both samplers, and the default provider names it too."""
+    view, images, moduli = _cover_case(name)
+    oracle = cover_oracle(view, images, moduli)
+    A = oracle.structure
+    assert A.moduli == moduli
+    kernel = {t for t in A.elements() if view.is_identity(view.word(images, t))}
+    assert len(kernel) > 1  # a relation beyond the moduli
+    found = abelian_hsp(oracle, SolverConfig(seed=13, backend=backend))
+    assert set(subgroup_elements(A, [list(t) for t in found])) == kernel
+    provided = oracle.hidden_subgroup_gens()
+    assert set(subgroup_elements(A, [list(t) for t in provided])) == kernel
+
+
+def test_cover_oracle_forms_each_element_once_and_takes_a_provider():
+    """Each element is formed by one view.word when first asked and then
+    kept; a given provider replaces the default one."""
+    G = make_group(GroupSpec(kind="abelian", moduli=(12,)))
+    g = G.generators[0]
+    oracle = cover_oracle(G, [g], (12,), provider=lambda: [(4,)])
+    assert oracle.hidden_subgroup_gens() == [(4,)]
+    ops = G.stats.group_ops
+    labels = [oracle.eval((5,)), oracle.eval((17,)), oracle.peek((5,))]
+    assert G.stats.group_ops - ops == 4  # g^5 by squaring, formed once
+    assert labels[0] == labels[1] == labels[2] == G.key(G.power(g, 5))
