@@ -23,6 +23,8 @@ Two more pools run code that no benchmark pool reaches, at the same seeds:
   member flag and the orders.
 * ``normal``: ``hidden_normal_subgroup`` on every normal subgroup of es(3)
   (both variants), D16 and wreath k=2; the answer is the subgroup digest.
+  ``normal-statevector`` runs the same instances, with the same seeds,
+  under the statevector sampler.
 
 Both use only library API that has long been public, so that this script can
 run against an older checkout's library.
@@ -200,9 +202,9 @@ def membership_outputs(seed: int) -> list:
     return out
 
 
-def normal_outputs(seed: int) -> list:
+def normal_outputs(seed: int, backend: str = "ideal") -> list:
     """The normal pool at one seed: hidden_normal_subgroup on every normal
-    subgroup N of each group, H = N."""
+    subgroup N of each group, H = N, under the given sampler."""
     from workloads import HspError, SolverConfig, core, verify
     from hsplab.normalsub import hidden_normal_subgroup
 
@@ -218,7 +220,8 @@ def normal_outputs(seed: int) -> list:
             hidden = _answer(G, [x.hex for x in sub])
             record = {"group": label, "hidden": hidden, "hidden_order": len(sub), "answer": None}
             try:
-                result = hidden_normal_subgroup(G, f, SolverConfig(seed=rng.getrandbits(32)))
+                cfg = SolverConfig(seed=rng.getrandbits(32), backend=backend)
+                result = hidden_normal_subgroup(G, f, cfg)
             except HspError as exc:
                 record["error"] = f"{type(exc).__name__}: {exc}"
             else:
@@ -262,6 +265,7 @@ def dump(out_path: Path) -> None:
     for seed in SEEDS:
         outputs[f"membership/{seed}"] = membership_outputs(seed)
         outputs[f"normal/{seed}"] = normal_outputs(seed)
+        outputs[f"normal-statevector/{seed}"] = normal_outputs(seed, "statevector")
     out_path.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
 
 

@@ -56,6 +56,8 @@ class RunConfig:
             raise BadSpec(f"epsilon must be in (0, 1/2), got {self.epsilon}")
         if not isinstance(self.hidden, str):
             raise BadSpec(f"hidden must be a string, got {self.hidden!r}")
+        if not isinstance(self.verify, bool):
+            raise BadSpec(f"verify must be true or false, got {self.verify!r}")
         if self.solver not in SOLVERS:
             raise BadSpec(f"unknown solver {self.solver!r}, expected one of {', '.join(SOLVERS)}")
 
@@ -197,7 +199,7 @@ def run_suite(path: Path, master_seed: int, jobs: int = 4) -> tuple[int, list[di
                 solver=entry.get("solver", "auto"),
                 epsilon=float(entry.get("epsilon", 2.0**-10)),
                 seed=splitmix64(master_seed ^ i),
-                verify=bool(entry.get("verify", True)),
+                verify=entry.get("verify", True),
             )
             for i, entry in enumerate(entries)
         ]
@@ -251,7 +253,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, report = run(config)
         payload = json.dumps(report, indent=2)
     if args.report:
-        Path(args.report).write_text(payload + "\n")
+        try:
+            Path(args.report).write_text(payload + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 3
     else:
         print(payload)
     return code

@@ -338,12 +338,7 @@ class AbelianDecomposition:
     `relations`, r_i u_i minus the exponents of g_i^r_i, are triangular and
     generate every relation among the generators.  With U R V = D the Smith
     normal form of that matrix, a word's tuple is its exponent row times V,
-    taken modulo each prime-power part of the invariant factors in turn.
-
-    So row i of V, reduced the same way, is g_i's tuple: `generator_tuples`
-    expresses every generator over `basis` without a key call.  (For g_i in
-    <g_1..g_{i-1}> its unit row and its word's exponents differ by a
-    relation, and every row of R V = U^-1 D vanishes modulo the parts.)"""
+    taken modulo each prime-power part of the invariant factors in turn."""
 
     def __init__(self, view: GroupView, table: dict, relations: Matrix):
         self.view = view
@@ -354,7 +349,6 @@ class AbelianDecomposition:
             for i in range(len(relations)):
                 parts += [(i, p**a) for p, a in _factor(D[i][i]).items()]
         self.structure = AbelianStructure(tuple(q for _, q in parts))
-        self.generator_tuples = [tuple(row[i] % q for i, q in parts) for row in V]
         self._to_tuple = {}  # view key -> tuple
         self._from_tuple = {}  # tuple -> element
         columns = [([row[i] for row in V], q) for i, q in parts]
@@ -366,7 +360,6 @@ class AbelianDecomposition:
             raise InvariantBroken(
                 f"decomposition covers {len(self._from_tuple)} of {len(table)} elements"
             )
-        self.basis = [self.element_of(u) for u in identity_matrix(len(parts))]
 
     def tuple_of(self, x) -> Optional[tuple[int, ...]]:
         """x's tuple, or None when x lies outside the decomposed group."""

@@ -1,34 +1,33 @@
-"""Hidden normal subgroups via presentations and normal closure.
+"""Hidden normal subgroups with an Abelian quotient, by one Abelian HSP over
+the cover of G's generators, and normal closure.
 
-Restricted to Abelian quotients G/N, which is exactly what the
-small-commutator solver consumes; non-Abelian quotients are refused.
+When G/N is Abelian, t -> prod g_i^t_i modulo N is a homomorphism from the
+cover Z_m1 x ... x Z_mk onto G/N, m_i the order of generator g_i in G, and f
+read through a `LabelQuotientView` hides its kernel.  `sim.cover_oracle`
+builds that oracle; non-Abelian quotients are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import ceil, log2, prod
 from typing import Optional, Sequence
 
 from .core import BlackBoxGroup, GroupElement, HidingOracle, SolveFrame, SubgroupResult
 from .core import enumerate_closure, enum_bound
-from .errors import NotAbelian, QuotientNotAbelian
-from .linalg import LabelQuotientView, decompose_abelian
-from .sim import SolverConfig
+from .errors import QuotientNotAbelian
+from .linalg import LabelQuotientView
+from .sim import SolverConfig, abelian_hsp, cover_oracle, find_order
 
 
 @dataclass
 class AbelianPresentation:
-    """Presentation of an Abelian quotient G/N, carried as G-encodings.
+    """G/N as the cover Z_m1 x ... x Z_mk of G's generators modulo `kernel`,
+    the tuples t with prod g_i^t_i in N."""
 
-    Relators are the powers t_i^{d_i} and all pairwise commutators [t_i, t_j].
-    `coordinates[i]` expresses G's i-th generator modulo N over the t_j.
-    """
-
-    generators: list[GroupElement]
     moduli: tuple[int, ...]
-    coordinates: list[tuple[int, ...]]
+    kernel: list[tuple[int, ...]]
 
 
 @dataclass
@@ -37,35 +36,21 @@ class NormalGenerators:
     closure_certificate: Optional[list[GroupElement]] = None
 
 
-def abelian_quotient_presentation(view: LabelQuotientView) -> AbelianPresentation:
-    """Decompose G/N over the view's f-labels; generators are lifted to G-encodings."""
-    try:
-        dec = decompose_abelian(view, view.group.generators)
-    except NotAbelian as exc:
-        raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup") from exc
-    return AbelianPresentation(list(dec.basis), dec.structure.moduli, dec.generator_tuples)
+def abelian_quotient_presentation(view: LabelQuotientView, cfg: SolverConfig) -> AbelianPresentation:
+    """G/N over the cover of G's generators: their orders in G, found on G's
+    own key with no f-query, and the kernel of one Abelian HSP on the cover
+    oracle at f's labels.  QuotientNotAbelian when the generators do not
+    commute modulo N."""
+    G = view.group
+    if not view.commuting(G.generators):
+        raise QuotientNotAbelian("generators do not commute modulo the hidden subgroup")
+    moduli = tuple(find_order(G, g, cfg.child("order")) for g in G.generators)
+    return AbelianPresentation(moduli, abelian_hsp(cover_oracle(view, G.generators, moduli), cfg))
 
 
 def _commutators(G: BlackBoxGroup, xs: Sequence[GroupElement]) -> list[GroupElement]:
     """[x_i, x_j] for every pair i < j, in order."""
     return [G.commutator(a, b) for a, b in combinations(xs, 2)]
-
-
-def relator_values(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupElement]:
-    """Relators evaluated in G (not modulo N): t_i^{d_i} and [t_i, t_j]."""
-    powers = [G.power(t, d) for t, d in zip(p.generators, p.moduli)]
-    return powers + _commutators(G, p.generators)
-
-
-def generator_quotients(G: BlackBoxGroup, p: AbelianPresentation) -> list[GroupElement]:
-    """For each generator x of G, form y = prod t_j^a_j from x's coordinates
-    over the presentation generators and emit y^-1 x; every output lies in
-    N, since xN = yN."""
-    out = []
-    for x, coordinates in zip(G.generators, p.coordinates):
-        y = G.word(p.generators, coordinates)
-        out.append(G.multiply(G.invert(y), x))
-    return out
 
 
 def normal_closure(
@@ -101,24 +86,30 @@ def commutator_subgroup(G: BlackBoxGroup, bound: int) -> NormalGenerators:
     return normal_closure(G, _commutators(G, G.generators), bound)
 
 
-def normal_query_budget(quotient_order: int, k: int) -> int:
-    """Documented closed-form f-query budget B_N for hidden_normal_subgroup,
-    k generators of G.  Its f-queries are decompose_abelian's key calls on
-    G/N at f's labels: k^2 - k for the commute check, |G/N| for the identity
-    and each other element as it joins the table, and k for the powers that
-    land in it; asking f once per element can only lower that.  |G/N| is
-    the product of the presentation's moduli; nothing is sampled."""
-    return quotient_order + k * k
+def normal_query_budget(k: int, cover_order: int) -> int:
+    """Documented closed-form f-query budget B_N for hidden_normal_subgroup
+    (ideal sampler), k generators of G and |A| = cover_order the order of
+    their cover.  f is asked once per element: k^2 - k for the commute check
+    at f's labels (f(g_i g_j) and f(g_j g_i) for each pair); none for the
+    orders m_i, found on G's own key; and the certificates of the one
+    Abelian HSP over A: f(0), then at most k tests per certified kernel over
+    at most 1 + log2|A| kernels, each strictly inside the last.  So
+    B_N = k^2 - k + 1 + k * (1 + log2|A|).  The statevector sampler writes f
+    over A once; hidden_normal_subgroup adds |A|."""
+    return ceil(k * k - k + 1 + k * (1 + log2(cover_order)))
 
 
 def hidden_normal_subgroup(G: BlackBoxGroup, f: HidingOracle, cfg: SolverConfig) -> SubgroupResult:
-    """Generators of the hidden normal subgroup N: normal closure of the
-    relator values R0 and the generator quotients S0.  Both lie in N by
-    construction: R0 because the decomposition at f's labels found the
-    orders and checked commutation, S0 because the decomposition's
-    coordinates express each generator exactly modulo N.  Nothing is
-    sampled, so `cfg` draws nothing."""
+    """Generators of the hidden normal subgroup N: the normal closure of the
+    words prod g_i^t_i over the kernel's generators t, which lie in N, and
+    of the generators' commutators.  These generate N: the kernel words
+    generate N modulo G', and G' <= N since G/N is Abelian."""
     f = SolveFrame(f, cfg)
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
-    n = normal_closure(G, relator_values(G, p) + generator_quotients(G, p))
-    return f.result(n.gens, "normal", normal_query_budget(prod(p.moduli), len(G.generators)))
+    p = abelian_quotient_presentation(LabelQuotientView(G, f), cfg)
+    words = [G.word(G.generators, t) for t in p.kernel]
+    n = normal_closure(G, words + _commutators(G, G.generators))
+    cover_order = prod(p.moduli)
+    budget = normal_query_budget(len(p.moduli), cover_order)
+    if cfg.backend == "statevector":
+        budget += cover_order
+    return f.result(n.gens, "normal", budget)

@@ -4,9 +4,9 @@ Abelian groups, the Abelian hidden-subgroup solver, and order finding.
 A `QuantumFunctionOracle` reads f through a view: its counted path is the
 view's key and its harness path the view's `hkey`, taken only here, so a
 solver hands over a view and an element map and never peeks itself.
-Order finding and constructive membership ask one kind of oracle,
-`cover_oracle`: t -> prod x_i^t_i over Z_m1 x ... x Z_mk, whose kernel is
-the relation lattice of the x_i.
+Order finding, constructive membership and the hidden normal subgroup ask
+one kind of oracle, `cover_oracle`: t -> prod x_i^t_i over
+Z_m1 x ... x Z_mk, whose kernel is the relation lattice of the x_i.
 
 Two sampler backends produce uniform draws from H-perp:
 

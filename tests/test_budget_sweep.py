@@ -1,7 +1,8 @@
 """Quick budget sweep: every subgroup of small Abelian groups through
 solve_abelian and of small non-Abelian groups through
-solve_small_commutator, under both samplers and two epsilons, and every
-normal subgroup of small non-Abelian groups through hidden_normal_subgroup.
+solve_small_commutator, and every normal subgroup of small non-Abelian
+groups through hidden_normal_subgroup, each under both samplers and two
+epsilons.
 
 Each solve must return H and stay within its f_query_budget.  The only error
 allowed is QuotientNotAbelian, and only where G/N is not Abelian."""
@@ -74,16 +75,18 @@ def test_normal_budget_sweep():
             keys = subgroup_key(G, sub)
             if any(G.key(G.conjugate(g, x)) not in keys for g in G.generators for x in sub):
                 continue  # not normal
-            f = make_hiding_oracle(G, sub, seed=splitmix64(gi << 16 ^ si))
-            solves += 1
-            try:
-                result = hidden_normal_subgroup(G, f, SolverConfig(seed=si))
-            except QuotientNotAbelian:
-                refused += 1
-                pairs = [(a, b) for a in G.generators for b in G.generators]
-                if all(G.key(G.commutator(a, b)) in keys for a, b in pairs):
-                    failures.append((gi, si, "refused an Abelian quotient"))
-                continue
-            failures += [(gi, si, e) for e in _failure(G, sub, result)]
+            for ci, (epsilon, backend) in enumerate(CONFIGS):
+                seed = splitmix64(gi << 16 ^ si << 4 ^ ci)
+                f = make_hiding_oracle(G, sub, seed=seed)
+                solves += 1
+                try:
+                    result = hidden_normal_subgroup(G, f, SolverConfig(epsilon, seed + 1, backend))
+                except QuotientNotAbelian:
+                    refused += 1
+                    pairs = [(a, b) for a in G.generators for b in G.generators]
+                    if all(G.key(G.commutator(a, b)) in keys for a, b in pairs):
+                        failures.append((gi, si, backend, epsilon, "refused an Abelian quotient"))
+                    continue
+                failures += [(gi, si, backend, epsilon, e) for e in _failure(G, sub, result)]
     assert failures == []
-    assert refused < solves
+    assert (solves, refused) == (4 * 56, 4 * 15)

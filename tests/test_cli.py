@@ -188,10 +188,11 @@ def test_suite_mode(group_dir):
         '[{"group": "z46.grp", "hidden": 5}]',
         None,
         '[{"group": "z46.grp", "hidden": "01000", "solver": "martian"}]',
+        '[{"group": "z46.grp", "hidden": "01000", "verify": "false"}]',
     ],
     ids=[
         "no-group", "not-json", "epsilon-range", "epsilon-text", "object", "hidden-int", "missing",
-        "unknown-solver",
+        "unknown-solver", "verify-text",
     ],
 )
 def test_malformed_suite_exits_3(group_dir, capsys, text):
@@ -223,6 +224,17 @@ def test_main_writes_report(group_dir, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_unwritable_report_exits_3(group_dir, capsys):
+    """A --report path that cannot be written is an error line and exit 3,
+    not a traceback."""
+    missing = group_dir / "missing" / "report.json"
+    args = ["--group", str(group_dir / "z46.grp"), "--hidden", "00001", "--report", str(missing)]
+    assert main(args) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write report: ")
+    (group_dir / "suite.json").write_text('[{"group": "z46.grp", "hidden": "00001"}]')
+    assert main(["--suite", str(group_dir / "suite.json"), "--report", str(missing)]) == 3
 
 
 def test_main_requires_group_and_hidden():

@@ -140,7 +140,7 @@ def test_compare_exits_1_only_when_an_answer_differs_as_a_subgroup(tmp_path, cap
 def test_the_membership_and_normal_pools_answer_right(monkeypatch):
     """The two pools that run code no benchmark pool reaches: every member
     flag and order agrees with enumeration in G, and every normal subgroup
-    is found or refused for a non-Abelian quotient."""
+    is found or refused for a non-Abelian quotient, under both samplers."""
     from hsplab.core import enumerate_closure
 
     monkeypatch.syspath_prepend(str(SCRIPT.parent.parent / "perfbench"))
@@ -156,9 +156,10 @@ def test_the_membership_and_normal_pools_answer_right(monkeypatch):
         assert record["answer"] == [member, orders], record
     assert {record["answer"][0] for record in records} == {True, False}
 
-    normal = fixed_seed_outputs.normal_outputs(1)
-    assert {r["group"] for r in normal} == set(fixed_seed_outputs.NORMAL_GROUPS)
-    refused = [r for r in normal if r["answer"] is None]
-    assert all(r["error"].startswith("QuotientNotAbelian") for r in refused)
-    assert all(r["answer"] == r["hidden"] for r in normal if r not in refused)
-    assert len(refused) < len(normal)
+    for backend in ("ideal", "statevector"):
+        normal = fixed_seed_outputs.normal_outputs(1, backend)
+        assert {r["group"] for r in normal} == set(fixed_seed_outputs.NORMAL_GROUPS)
+        refused = [r for r in normal if r["answer"] is None]
+        assert all(r["error"].startswith("QuotientNotAbelian") for r in refused)
+        assert all(r["answer"] == r["hidden"] for r in normal if r not in refused)
+        assert (len(normal), len(refused)) == (47, 14)

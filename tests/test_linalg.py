@@ -224,15 +224,14 @@ def test_decompose_gives_isomorphism(case):
         keys.add(view.key(x))
         assert dec.tuple_of(x) == t
     assert len(keys) == order
-    # a homomorphism: adding a unit tuple is multiplying by its basis element
+    # a homomorphism: adding a unit tuple is multiplying by the unit's element
     for t in A.elements():
-        for i, b in enumerate(dec.basis):
-            unit = tuple(int(i == j) for j in range(len(A.moduli)))
+        for unit in A.units():
+            b = dec.element_of(unit)
             assert view.equal(dec.element_of(A.add(t, unit)), view.multiply(dec.element_of(t), b))
-    # each generator's tuple, read off the Smith form, names the generator
-    assert len(dec.generator_tuples) == len(gens)
-    for g, t in zip(gens, dec.generator_tuples):
-        assert dec.tuple_of(g) == t
+    # each generator has a tuple, and it names the generator
+    for g in gens:
+        assert view.equal(dec.element_of(dec.tuple_of(g)), g)
     # the relation rows hold among the generators, and they generate every
     # relation: their lattice has index |<gens>|
     for row in dec.relations:

@@ -1,17 +1,16 @@
-"""Hidden normal subgroups via presentations, relators, and normal closure."""
+"""Hidden normal subgroups: the presentation of G/N over the cover of G's
+generators (one Abelian HSP at f's labels), its relators, and normal
+closure."""
+
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from hsplab.core import GroupElement, GroupSpec, enumerate_closure, make_group, make_hiding_oracle
 from hsplab.errors import QuotientNotAbelian
-from hsplab.linalg import LabelQuotientView
-from hsplab.normalsub import (
-    abelian_quotient_presentation,
-    generator_quotients,
-    hidden_normal_subgroup,
-    normal_closure,
-    relator_values,
-)
+from hsplab.linalg import AbelianStructure, LabelQuotientView, subgroup_order
+from hsplab.normalsub import abelian_quotient_presentation, hidden_normal_subgroup, normal_closure
 from hsplab.sim import SolverConfig
 from hsplab.specfile import parse_cycles
 from hsplab.verify import brute_force_hsp, subgroup_key
@@ -19,97 +18,96 @@ from hsplab.verify import brute_force_hsp, subgroup_key
 from conftest import q8_minus_one
 
 
+def _presentation(G, f, seed):
+    return abelian_quotient_presentation(LabelQuotientView(G, f), SolverConfig(seed=seed))
+
+
+def _quotient_order(p) -> int:
+    """|G/N|: the order of the cover over that of the kernel."""
+    return prod(p.moduli) // subgroup_order(AbelianStructure(p.moduli), p.kernel)
+
+
+def _relator_values(G, p) -> list:
+    """The presentation's relators evaluated in G (not modulo N): the kernel
+    words prod g_i^t_i and the generators' commutators."""
+    words = [G.word(G.generators, t) for t in p.kernel]
+    return words + [G.commutator(a, b) for a, b in combinations(G.generators, 2)]
+
+
 def test_presentation_z2_cubed_quotient():
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2, 2)))
     n_gen = GroupElement(G.backend.encode((1, 1, 0)))
     f = make_hiding_oracle(G, [n_gen], seed=12)
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
-    assert sorted(p.moduli) == [2, 2]
+    p = _presentation(G, f, 12)
+    assert p.moduli == (2, 2, 2)
+    assert _quotient_order(p) == 4
     id_label = f.peek(G.identity())
-    for value in relator_values(G, p):
+    for value in _relator_values(G, p):
         assert f.peek(value) == id_label
 
 
 def test_presentation_constant_oracle_is_empty():
+    """N = G: the kernel is the whole cover, so the quotient is trivial."""
     G = make_group(GroupSpec(kind="abelian", moduli=(2, 2)))
     elements = enumerate_closure(G, G.generators)
     f = make_hiding_oracle(G, elements, seed=14)
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
-    assert p.moduli == ()
+    p = _presentation(G, f, 14)
+    assert p.moduli == (2, 2)
+    assert _quotient_order(p) == 1
 
 
 def test_presentation_q8_center_quotient(q8):
+    """Q8/<-1> is Z2 x Z2: the cover Z4 x Z4 of i and j, modulo a kernel of
+    index 4 that holds twice every tuple."""
     z = q8_minus_one(q8)
     f = make_hiding_oracle(q8, [z], seed=16)
-    p = abelian_quotient_presentation(LabelQuotientView(q8, f))
-    assert sorted(p.moduli) == [2, 2]
+    p = _presentation(q8, f, 16)
+    assert p.moduli == (4, 4)
+    assert _quotient_order(p) == 4
+    A = AbelianStructure(p.moduli)
+    assert subgroup_order(A, p.kernel + [(2, 0), (0, 2)]) == subgroup_order(A, p.kernel)
 
 
 def test_presentation_rejects_nonabelian_quotient(s8):
     f = make_hiding_oracle(s8, [], seed=18)
     with pytest.raises(QuotientNotAbelian):
-        abelian_quotient_presentation(LabelQuotientView(s8, f))
+        _presentation(s8, f, 18)
 
 
 def test_relator_values_z4():
     G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
     two = GroupElement(G.backend.encode((2,)))
     f = make_hiding_oracle(G, [two], seed=20)
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
-    assert p.moduli == (2,)
-    values = relator_values(G, p)
+    p = _presentation(G, f, 20)
+    assert p.moduli == (4,)
+    assert p.kernel == [(2,)]
+    values = _relator_values(G, p)
     assert len(values) == 1
-    assert G.backend.decode(values[0].bits) in ([0], [2])
+    assert G.backend.decode(values[0].bits) == [2]
     assert f.peek(values[0]) == f.peek(G.identity())
 
 
 def test_commutator_relator_lands_in_center(q8):
     z = q8_minus_one(q8)
     f = make_hiding_oracle(q8, [z], seed=22)
-    p = abelian_quotient_presentation(LabelQuotientView(q8, f))
-    values = relator_values(q8, p)
+    values = _relator_values(q8, _presentation(q8, f, 22))
     center_keys = {q8.key(x) for x in enumerate_closure(q8, [z])}
-    # [i, j] = -1: every relator value lies in the center
+    # [i, j] = i^2 = j^2 = -1: every relator value lies in the center
     assert all(q8.key(v) in center_keys for v in values)
     assert any(q8.equal(v, z) for v in values)
 
 
-def test_generator_quotients_lie_in_n():
-    G = make_group(GroupSpec(kind="abelian", moduli=(4,)))
-    two = GroupElement(G.backend.encode((2,)))
-    f = make_hiding_oracle(G, [two], seed=24)
-    p = abelian_quotient_presentation(LabelQuotientView(G, f))
-    before = f.query_count
-    quotients = generator_quotients(G, p)
-    assert f.query_count == before  # the coordinates come from the decomposition
-    id_label = f.peek(G.identity())
-    assert quotients
-    assert all(f.peek(q) == id_label for q in quotients)
-
-
-def test_hidden_normal_subgroup_makes_no_membership_call(monkeypatch):
-    """The generator quotients come from the decomposition's coordinates, not
-    from constructive membership, order finding or an Abelian HSP; nothing
-    is sampled."""
-    from hsplab import membership, normalsub, sim
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("called")
-
-    monkeypatch.setattr(normalsub, "constructive_membership", refuse, raising=False)
-    for module in (membership, sim):
-        for name in ("find_order", "abelian_hsp"):
-            monkeypatch.setattr(module, name, refuse)
-    G = make_group(GroupSpec(kind="extraspecial", p=3))
-    a, b = G.generators
-    f = make_hiding_oracle(G, [G.commutator(a, b), a], seed=32)
-    cfg = SolverConfig(seed=33)
-    out = hidden_normal_subgroup(G, f, cfg)
-    assert cfg.draws == 0
-    elements = enumerate_closure(G, G.generators)
-    assert subgroup_key(G, enumerate_closure(G, out.gens)) == subgroup_key(
-        G, brute_force_hsp(G, elements, f)
-    )
+def test_kernel_words_lie_in_n(d16):
+    """Each word prod g_i^t_i over the kernel's generators t lies in N."""
+    es3 = make_group(GroupSpec(kind="extraspecial", p=3))
+    a, b = es3.generators
+    cases = [(d16, [d16.power(d16.generators[0], 2)]), (es3, [es3.commutator(a, b), a])]
+    for seed, (G, n_gens) in enumerate(cases, 24):
+        f = make_hiding_oracle(G, n_gens, seed=seed)
+        p = _presentation(G, f, seed)
+        assert p.kernel
+        id_label = f.peek(G.identity())
+        assert all(f.peek(G.word(G.generators, t)) == id_label for t in p.kernel)
 
 
 def test_normal_closure_s3():

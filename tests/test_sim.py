@@ -211,12 +211,15 @@ def test_solver_code_never_names_the_harness_path(module):
 
 
 def test_cover_oracle_is_the_one_oracle_of_membership_and_order_finding():
-    """membership.py builds its oracle through sim.cover_oracle and names no
-    oracle class or harness provider; within sim, cover_oracle is the only
-    caller of QuantumFunctionOracle."""
-    names = set(_source_names(SRC / "membership.py"))
-    assert names & {"QuantumFunctionOracle", "_kernel_provider", "AbelianStructure"} == set()
-    assert "cover_oracle" in names
+    """membership.py and normalsub.py (the hidden normal subgroup) build
+    their oracles through sim.cover_oracle and name no oracle class, harness
+    provider or classical decomposition; within sim, cover_oracle is the
+    only caller of QuantumFunctionOracle."""
+    banned = {"QuantumFunctionOracle", "_kernel_provider", "AbelianStructure", "decompose_abelian"}
+    for module in ("membership.py", "normalsub.py"):
+        names = set(_source_names(SRC / module))
+        assert names & banned == set(), module
+        assert "cover_oracle" in names, module
     callers = {
         fn.name
         for fn in ast.walk(ast.parse((SRC / "sim.py").read_text()))

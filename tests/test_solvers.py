@@ -20,7 +20,7 @@ from hsplab.errors import (
 )
 from hsplab.linalg import decompose_abelian
 from hsplab.sim import RngStream, SolverConfig
-from hsplab.normalsub import hidden_normal_subgroup
+from hsplab.normalsub import hidden_normal_subgroup, normal_query_budget
 from hsplab.solvers import (
     LabelRecord,
     abelian_query_budget,
@@ -486,16 +486,37 @@ def test_abelian_budget_overrun_raises(monkeypatch):
         solve_abelian(G, f, SolverConfig(seed=12))
 
 
-def test_normal_budget_met_with_equality():
-    """es(3) of exponent p^2 with N = <a^3, b>: |G/N| = 3 and k = 2, so
-    B_N = 3 + 4 = 7, and the decomposition of G/N asks f exactly 7 times,
-    no two of its key calls on one element."""
+def test_normal_budget_counts_the_commute_check_and_certificates():
+    """es(3) of exponent p^2 with N = <a^3, b>: the cover of a and b is
+    Z9 x Z3 and its kernel <(3, 0), (0, 1)>.  The solver asks f(ab) and
+    f(ba) for the commute check, then f(1) and one test per kernel
+    generator: 5 f-queries, against B_N = 4 - 2 + 1 + 2 * (1 + log2 27),
+    rounded up, 15."""
     G = make_group(GroupSpec(kind="extraspecial", p=3, variant="exponent-p2"))
     a, b = G.generators
     f = make_hiding_oracle(G, [G.power(a, 3), b], seed=13)
     result = hidden_normal_subgroup(G, f, SolverConfig(seed=14))
     _check(G, f, result, enumerate_closure(G, G.generators))
-    assert (result.method, result.stats.f_queries, result.f_query_budget) == ("normal", 7, 7)
+    assert (result.method, result.stats.f_queries, result.f_query_budget) == ("normal", 5, 15)
+    assert normal_query_budget(2, 27) == 15
+    # the statevector sampler writes f over the cover once more
+    result = hidden_normal_subgroup(G, f, SolverConfig(seed=14, backend="statevector"))
+    assert result.f_query_budget == 15 + 27
+
+
+@pytest.mark.parametrize("variant,queries", [("exponent-p", 2), ("exponent-p2", 4)])
+def test_normal_queries_do_not_grow_with_p(variant, queries):
+    """On es(p) with N = G', whatever p: the commute check asks f twice.
+    On exponent p the cover Z_p x Z_p is G/G' and its kernel trivial, so no
+    certificate is asked; on exponent p^2 the cover Z_p^2 x Z_p has kernel
+    <(p, 0)>, certified by f(1) and f(a^p).  Each stays within B_N."""
+    for p in (3, 5, 7, 11, 13):
+        G = make_group(GroupSpec(kind="extraspecial", p=p, variant=variant))
+        f = make_hiding_oracle(G, [G.commutator(*G.generators)], seed=p)
+        result = hidden_normal_subgroup(G, f, SolverConfig(seed=p + 1))
+        assert result.stats.f_queries == queries, p
+        assert queries <= result.f_query_budget
+        _check(G, f, result, enumerate_closure(G, G.generators))
 
 
 def test_normal_budget_overrun_raises(monkeypatch):
