@@ -110,6 +110,41 @@ def test_kernel_words_lie_in_n(d16):
         assert all(f.peek(G.word(G.generators, t)) == id_label for t in p.kernel)
 
 
+def test_hidden_normal_subgroup_makes_no_membership_call(monkeypatch):
+    """The kernel words come from one Abelian HSP over the cover of G's
+    generators, not from constructive membership: order finding runs once
+    per generator and abelian_hsp once."""
+    from hsplab import membership, normalsub
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    calls = {"find_order": 0, "abelian_hsp": 0}
+
+    def counted(name):
+        real = getattr(normalsub, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(membership, "constructive_membership", refuse)
+    monkeypatch.setattr(normalsub, "constructive_membership", refuse, raising=False)
+    for name in calls:
+        monkeypatch.setattr(normalsub, name, counted(name))
+    G = make_group(GroupSpec(kind="extraspecial", p=3))
+    a, b = G.generators
+    f = make_hiding_oracle(G, [G.commutator(a, b), a], seed=32)
+    out = hidden_normal_subgroup(G, f, SolverConfig(seed=33))
+    assert calls == {"find_order": len(G.generators), "abelian_hsp": 1}
+    elements = enumerate_closure(G, G.generators)
+    assert subgroup_key(G, enumerate_closure(G, out.gens)) == subgroup_key(
+        G, brute_force_hsp(G, elements, f)
+    )
+
+
 def test_normal_closure_s3():
     G = make_group(
         GroupSpec(
